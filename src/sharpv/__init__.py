@@ -8,7 +8,7 @@ stages run against a small deterministic decoder so every claim in the
 test suite is checkable end to end.
 """
 
-from .bench import cache_bytes_linear, cache_bytes_table, run_bench, scoring_table
+from .bench import cache_bytes_linear, cache_bytes_table, run_bench, scoring_cost_scaling, scoring_table
 from .cache import KVCacheLayer, LayeredKVCache, Segment, SegmentedSequence
 from .decoder import Decoder, DecoderConfig, PrefillResult, init_decoder
 from .errors import (
@@ -47,11 +47,9 @@ from .pruner import (
     VideoTokens,
     combined_importance,
     frame_thresholds,
+    importance_maps,
     prune_video,
-    scoring_cost_scaling,
     select_topk,
-    spatial_importance,
-    temporal_importance,
 )
 from .report import RunReport, validate_report
 from .synth import (
@@ -83,11 +81,11 @@ __all__ = [
     "apply_discard", "baseline_generate", "cache_bytes_linear",
     "cache_bytes_table", "combined_importance", "cosine_sim",
     "degradation_profile", "discard_decision", "dissim", "frame_thresholds",
-    "gen_prompt_embeddings", "gen_synthetic_video", "init_decoder",
+    "gen_prompt_embeddings", "gen_synthetic_video", "importance_maps", "init_decoder",
     "l2_normalize", "mask_discard", "mean_rows", "mr_metric",
     "paired_row_dissim", "parse_pattern", "pattern_to_string", "prune_video",
     "read_video", "reencode_positions", "row_dissim", "run_bench",
     "run_pipeline", "scoring_cost_scaling", "scoring_table", "select_topk",
-    "spatial_importance", "temporal_importance", "unit_rows",
+    "unit_rows",
     "validate_report", "write_video",
 ]

@@ -9,14 +9,64 @@ measured on real prefill caches rather than asserted).
 
 from __future__ import annotations
 
+import statistics
+import time
+
 import numpy as np
 
 from .cache import SegmentedSequence
 from .decoder import Decoder, DecoderConfig
 from .errors import ConfigError
-from .pruner import scoring_cost_scaling
+from .pruner import PrunerConfig, VideoTokens, prune_video
 
 DEFAULT_SCALES = (1, 2, 4)
+
+
+def scoring_cost_scaling(
+    sizes: list[tuple[int, int, int]], repeats: int = 20, seed: int = 0
+) -> list[dict]:
+    """Median wall-time of the full scoring+selection pass per (n, f, d) size.
+
+    Input generation is excluded from the timed region. Each size is
+    measured in several contiguous blocks of repetitions instead of one
+    long phase: consecutive same-size calls keep allocator and cache state
+    warm (the regime the linearity claim is about), while rotating blocks
+    across sizes spreads any transient machine slowdown over every size
+    instead of poisoning whichever one it lands on. Exactly one call runs
+    at a time. Used to check that doubling n*f or d roughly doubles
+    (never blows up) the cost.
+    """
+    if repeats < 1:
+        raise ValueError("repeats must be >= 1")
+    config = PrunerConfig()
+    videos = []
+    for i, (n, f, d) in enumerate(sizes):
+        rng = np.random.default_rng([seed, i])
+        videos.append(VideoTokens(n, f, d, rng.standard_normal((n * f, d))))
+    for video in videos:  # warmup: allocator and BLAS paths
+        prune_video(video, config)
+    samples: list[list[float]] = [[] for _ in sizes]
+    block = 10
+    done = 0
+    while done < repeats:
+        take = min(block, repeats - done)
+        for i, video in enumerate(videos):
+            for _ in range(take):
+                t0 = time.perf_counter()
+                prune_video(video, config)
+                samples[i].append(time.perf_counter() - t0)
+        done += take
+    return [
+        {
+            "n": n,
+            "f": f,
+            "d": d,
+            "tokens": n * f,
+            "median_seconds": statistics.median(samples[i]),
+            "repeats": repeats,
+        }
+        for i, (n, f, d) in enumerate(sizes)
+    ]
 
 
 def scoring_table(

@@ -123,6 +123,7 @@ class Decoder:
             ))
         self.w_out = rng.standard_normal((d, vocab)) * scale
         self.slopes = _head_slopes(config.heads)
+        self.inv_sqrt_hd = 1.0 / np.sqrt(config.head_dim)
 
     def weight_checksum(self) -> str:
         """SHA-256 over all weight bytes in draw order."""
@@ -144,6 +145,22 @@ class Decoder:
         # (H, T, head_dim) -> (T, d)
         h, t, hd = x.shape
         return x.transpose(1, 0, 2).reshape(t, h * hd)
+
+    def _qkv(self, lw: LayerWeights, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Queries, keys and values of the layer input x, each (H, T, head_dim)."""
+        xn = _layer_norm(x)
+        return (self._split_heads(xn @ lw.wq), self._split_heads(xn @ lw.wk),
+                self._split_heads(xn @ lw.wv))
+
+    def _attend_mlp(self, lw, x, q, keys, values, bias) -> np.ndarray:
+        """Attention of q over (H, S, head_dim) keys/values under an additive
+        (H, T, S) bias (-inf where a key may not be read), then the residual
+        and the MLP block; returns the layer output (T, d). The one attention
+        routine: prefill and decode_step differ only in keys and bias.
+        """
+        attn = _softmax(q @ keys.transpose(0, 2, 1) * self.inv_sqrt_hd + bias)
+        x = x + self._merge_heads(attn @ values) @ lw.wo
+        return x + _gelu(_layer_norm(x) @ lw.w_mlp_in) @ lw.w_mlp_out
 
     def prefill(self, embedded: np.ndarray, spans: SegmentedSequence) -> PrefillResult:
         """Causal forward pass over the whole prompt.
@@ -172,21 +189,13 @@ class Decoder:
         bias = np.where(dist[None, :, :] < 0, _MASKED, bias)  # causal mask
 
         tags = spans.tags()
-        inv_sqrt_hd = 1.0 / np.sqrt(self.config.head_dim)
         trace: HiddenTrace = []
         cache = LayeredKVCache()
         x = embedded.copy()
         for lw in self.layers:
             trace.append(x.copy())
-            xn = _layer_norm(x)
-            q = self._split_heads(xn @ lw.wq)
-            k = self._split_heads(xn @ lw.wk)
-            v = self._split_heads(xn @ lw.wv)
-            scores = q @ k.transpose(0, 2, 1) * inv_sqrt_hd + bias
-            attn = _softmax(scores)
-            x = x + self._merge_heads(attn @ v) @ lw.wo
-            xm = _layer_norm(x)
-            x = x + _gelu(xm @ lw.w_mlp_in) @ lw.w_mlp_out
+            q, k, v = self._qkv(lw, x)
+            x = self._attend_mlp(lw, x, q, k, v, bias)
             cache.layers.append(KVCacheLayer(
                 keys=k.transpose(1, 0, 2).copy(),  # (T, H, head_dim)
                 values=v.transpose(1, 0, 2).copy(),
@@ -215,7 +224,6 @@ class Decoder:
             raise ShapeMismatchError(
                 f"cache has {len(cache)} layers, decoder has {self.config.layers}"
             )
-        inv_sqrt_hd = 1.0 / np.sqrt(self.config.head_dim)
         x = embedding[None, :].copy()  # (1, d)
         for lw, layer in zip(self.layers, cache.layers):
             pos = layer.next_position()
@@ -223,24 +231,14 @@ class Decoder:
                 raise PositionOverflowError(
                     f"position {pos} exceeds max_positions {self.config.max_positions}"
                 )
-            xn = _layer_norm(x)
-            q = self._split_heads(xn @ lw.wq)  # (H, 1, hd)
-            k_new = (xn @ lw.wk).reshape(self.config.heads, self.config.head_dim)
-            v_new = (xn @ lw.wv).reshape(self.config.heads, self.config.head_dim)
-            layer.append(k_new, v_new, Segment.GENERATED, position=pos)
-
+            q, k, v = self._qkv(lw, x)  # (H, 1, hd) each
+            layer.append(k[:, 0], v[:, 0], Segment.GENERATED, position=pos)
+            bias = self.slopes[:, None, None] * (layer.position_ids - pos)  # (H, 1, S)
+            if layer.active is not None:
+                bias = np.where(layer.active, bias, _MASKED)
             keys = layer.keys.transpose(1, 0, 2)  # (H, S, hd)
             values = layer.values.transpose(1, 0, 2)
-            scores = q @ keys.transpose(0, 2, 1) * inv_sqrt_hd  # (H, 1, S)
-            scores = scores - self.slopes[:, None, None] * (
-                pos - layer.position_ids
-            )[None, None, :]
-            if layer.active is not None:
-                scores = np.where(layer.active[None, None, :], scores, _MASKED)
-            attn = _softmax(scores)
-            x = x + self._merge_heads(attn @ values) @ lw.wo
-            xm = _layer_norm(x)
-            x = x + _gelu(xm @ lw.w_mlp_in) @ lw.w_mlp_out
+            x = self._attend_mlp(lw, x, q, keys, values, bias)
         final_hidden = x[0].copy()
         logits = _layer_norm(x)[0] @ self.w_out
         return logits, final_hidden

@@ -93,13 +93,11 @@ def discard_decision(profile: DegradationProfile, threshold: float) -> DiscardPl
     return DiscardPlan(per_layer=profile.per_layer_sim < m, threshold=m)
 
 
-def apply_discard(
-    cache: LayeredKVCache, plan: DiscardPlan, spans: SegmentedSequence
-) -> LayeredKVCache:
+def apply_discard(cache: LayeredKVCache, plan: DiscardPlan) -> LayeredKVCache:
     """Drop the visual-span entries of every discarded layer.
 
     Returns a new cache; the input cache and its arrays are left intact.
-    Layers the plan does not touch reuse the original arrays unchanged.
+    Layers the plan does not touch get views of the original arrays.
     """
     if len(plan.per_layer) != len(cache):
         raise ShapeMismatchError(
@@ -107,15 +105,7 @@ def apply_discard(
         )
     layers = []
     for discard, layer in zip(plan.per_layer, cache.layers):
-        if not discard:
-            layers.append(
-                KVCacheLayer(
-                    layer.keys, layer.values, layer.position_ids, layer.segment_tags,
-                    layer.active,
-                )
-            )
-            continue
-        keep = layer.segment_tags != Segment.VISUAL
+        keep = layer.segment_tags != Segment.VISUAL if discard else slice(None)
         layers.append(
             KVCacheLayer(
                 keys=layer.keys[keep],
@@ -128,9 +118,7 @@ def apply_discard(
     return LayeredKVCache(layers=layers)
 
 
-def mask_discard(
-    cache: LayeredKVCache, plan: DiscardPlan, spans: SegmentedSequence
-) -> LayeredKVCache:
+def mask_discard(cache: LayeredKVCache, plan: DiscardPlan) -> LayeredKVCache:
     """Masking twin of apply_discard: flag visual entries inactive instead
     of removing them.
 

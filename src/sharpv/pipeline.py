@@ -20,13 +20,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cache import SegmentedSequence
+from .cache import LayeredKVCache, SegmentedSequence
 from .decoder import Decoder
 from .errors import ConfigError, ShapeMismatchError
 from .memory import (
     apply_discard,
     degradation_profile,
     discard_decision,
+    mr_metric,
     reencode_positions,
 )
 from .pruner import MODE_ADAPTIVE, MODE_MANUAL, PrunerConfig, VideoTokens, prune_video
@@ -94,12 +95,7 @@ def run_pipeline(
 
     pruned, importance, plan = prune_video(video, config.pruner_config())
 
-    embedded = np.vstack([prompt.system, pruned.tokens, prompt.instruction])
-    spans = SegmentedSequence(
-        system_len=prompt.system.shape[0],
-        visual_len=pruned.tokens.shape[0],
-        instruction_len=prompt.instruction.shape[0],
-    )
+    embedded, spans = _assemble(prompt, pruned.tokens)
     prefill = decoder.prefill(embedded, spans)
     first_token = int(np.argmax(prefill.logits))
     t_first = time.perf_counter()
@@ -107,23 +103,13 @@ def run_pipeline(
     profile = degradation_profile(prefill.trace, embedded, spans)
     discard = discard_decision(profile, config.degradation_threshold)
 
-    cache = prefill.cache
-    bytes_before = cache.total_bytes()
-    layers_before = cache.per_layer_segment_counts()
-    entries_before = cache.total_entries()
-
-    cache = apply_discard(cache, discard, spans)
+    cache = apply_discard(prefill.cache, discard)
     cache.layers = [reencode_positions(layer) for layer in cache.layers]
+    mr = mr_metric(prefill.cache, cache)
     bytes_after = cache.total_bytes()
     layers_after = cache.per_layer_segment_counts()
-    mr = mr_metric_from_counts(entries_before, cache.total_entries())
 
-    generated = [first_token]
-    token = first_token
-    for _ in range(config.decode_steps - 1):
-        logits, _ = decoder.decode_step(cache, decoder.embedding[token])
-        token = int(np.argmax(logits))
-        generated.append(token)
+    generated = _greedy(decoder, cache, first_token, config.decode_steps)
     t_end = time.perf_counter()
 
     steps = config.decode_steps
@@ -139,9 +125,9 @@ def run_pipeline(
         generated_tokens=generated,
         ttft_seconds=t_first - t_start,
         tpot_seconds=tpot,
-        cache_bytes_before=bytes_before,
+        cache_bytes_before=prefill.cache.total_bytes(),
         cache_bytes_after=bytes_after,
-        cache_layers_before=layers_before,
+        cache_layers_before=prefill.cache.per_layer_segment_counts(),
         cache_layers_after=layers_after,
         config=config_echo if config_echo is not None else _default_echo(config),
     )
@@ -158,27 +144,29 @@ def baseline_generate(
     """Greedy decode with no pruning and no eviction, for comparison."""
     if decode_steps < 1:
         raise ConfigError(f"decode_steps must be >= 1, got {decode_steps}")
-    embedded = np.vstack([prompt.system, video.data, prompt.instruction])
+    embedded, spans = _assemble(prompt, video.data)
+    prefill = decoder.prefill(embedded, spans)
+    return _greedy(decoder, prefill.cache, int(np.argmax(prefill.logits)), decode_steps)
+
+
+def _assemble(prompt: PromptEmbeddings, visual: np.ndarray) -> tuple[np.ndarray, SegmentedSequence]:
+    """The prompt rows system | visual | instruction and their spans."""
+    embedded = np.vstack([prompt.system, visual, prompt.instruction])
     spans = SegmentedSequence(
         system_len=prompt.system.shape[0],
-        visual_len=video.data.shape[0],
+        visual_len=visual.shape[0],
         instruction_len=prompt.instruction.shape[0],
     )
-    prefill = decoder.prefill(embedded, spans)
-    token = int(np.argmax(prefill.logits))
-    generated = [token]
-    cache = prefill.cache
-    for _ in range(decode_steps - 1):
-        logits, _ = decoder.decode_step(cache, decoder.embedding[token])
-        token = int(np.argmax(logits))
-        generated.append(token)
+    return embedded, spans
+
+
+def _greedy(decoder: Decoder, cache: LayeredKVCache, first_token: int, steps: int) -> list:
+    """first_token, then steps - 1 greedy decode steps on the cache (mutated)."""
+    generated = [first_token]
+    for _ in range(steps - 1):
+        logits, _ = decoder.decode_step(cache, decoder.embedding[generated[-1]])
+        generated.append(int(np.argmax(logits)))
     return generated
-
-
-def mr_metric_from_counts(before: int, after: int) -> float:
-    if before <= 0:
-        raise ValueError("before-count must be positive")
-    return after / before
 
 
 def _default_echo(config: PipelineConfig) -> dict:

@@ -19,14 +19,14 @@ modes keep at least one token per frame so downstream frame bookkeeping
 never sees an empty frame.
 
 Everything here is a pure function of the token directions: scaling all
-embeddings by any positive constant changes nothing. No operation looks
-at token pairs across positions, so the whole stage is O(n * f * d).
+embeddings by a positive constant changes nothing unless it moves a token
+or frame-mean norm across ``NORM_EPS`` (1e-12), below which a vector
+counts as zero. No operation looks at token pairs across positions, so
+the whole stage is O(n * f * d).
 """
 
 from __future__ import annotations
 
-import statistics
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -120,8 +120,14 @@ class PrunerConfig:
                 )
 
 
-def _score_maps(video: VideoTokens) -> tuple[np.ndarray, np.ndarray]:
-    # one unit-direction pass shared by the spatial and temporal maps
+def importance_maps(video: VideoTokens) -> tuple[np.ndarray, np.ndarray]:
+    """(spatial, temporal) per-token scores, each shape (n, f) in [0, 2].
+
+    Spatial: dissimilarity to the frame mean. Temporal: dissimilarity to
+    the same position in the previous frame; frame 0 is scored against the
+    virtual all-mean reference frame, so its row coincides with its
+    spatial row. One unit-direction pass serves both maps.
+    """
     frames = video.frames()
     units = unit_rows(frames)  # (n, f, d)
     mean_units = unit_rows(frames.mean(axis=1))  # (n, d)
@@ -133,20 +139,6 @@ def _score_maps(video: VideoTokens) -> tuple[np.ndarray, np.ndarray]:
         step = units[1:] - units[:-1]
         temporal[1:] = np.clip(np.linalg.norm(step, axis=2), 0.0, 2.0)
     return spatial, temporal
-
-
-def spatial_importance(video: VideoTokens) -> np.ndarray:
-    """Per-token dissimilarity to the frame mean, shape (n, f)."""
-    return _score_maps(video)[0]
-
-
-def temporal_importance(video: VideoTokens) -> np.ndarray:
-    """Per-token dissimilarity to the same position in the previous frame.
-
-    Frame 0 is scored against the virtual all-mean reference frame, so its
-    row coincides with its spatial importance row.
-    """
-    return _score_maps(video)[1]
 
 
 def combined_importance(
@@ -198,7 +190,7 @@ def prune_video(
     video: VideoTokens, config: PrunerConfig
 ) -> tuple[PrunedVideo, ImportanceMap, RetentionPlan]:
     """Score every token, decide per-frame retention, and materialize the survivors."""
-    spatial, temporal = _score_maps(video)
+    spatial, temporal = importance_maps(video)
     combined = combined_importance(spatial, temporal, config.spatial_weight)
     thresholds = frame_thresholds(spatial, temporal)
 
@@ -231,50 +223,3 @@ def prune_video(
         manual_threshold=config.manual_threshold if config.mode == MODE_MANUAL else None,
     )
     return pruned, imap, plan
-
-
-def scoring_cost_scaling(
-    sizes: list[tuple[int, int, int]], repeats: int = 20, seed: int = 0
-) -> list[dict]:
-    """Median wall-time of the full scoring+selection pass per (n, f, d) size.
-
-    Input generation is excluded from the timed region. Each size is
-    measured in several contiguous blocks of repetitions instead of one
-    long phase: consecutive same-size calls keep allocator and cache state
-    warm (the regime the linearity claim is about), while rotating blocks
-    across sizes spreads any transient machine slowdown over every size
-    instead of poisoning whichever one it lands on. Exactly one call runs
-    at a time. Used to check that doubling n*f or d roughly doubles
-    (never blows up) the cost.
-    """
-    if repeats < 1:
-        raise ValueError("repeats must be >= 1")
-    config = PrunerConfig()
-    videos = []
-    for i, (n, f, d) in enumerate(sizes):
-        rng = np.random.default_rng([seed, i])
-        videos.append(VideoTokens(n, f, d, rng.standard_normal((n * f, d))))
-    for video in videos:  # warmup: allocator and BLAS paths
-        prune_video(video, config)
-    samples: list[list[float]] = [[] for _ in sizes]
-    block = 10
-    done = 0
-    while done < repeats:
-        take = min(block, repeats - done)
-        for i, video in enumerate(videos):
-            for _ in range(take):
-                t0 = time.perf_counter()
-                prune_video(video, config)
-                samples[i].append(time.perf_counter() - t0)
-        done += take
-    return [
-        {
-            "n": n,
-            "f": f,
-            "d": d,
-            "tokens": n * f,
-            "median_seconds": statistics.median(samples[i]),
-            "repeats": repeats,
-        }
-        for i, (n, f, d) in enumerate(sizes)
-    ]

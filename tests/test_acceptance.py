@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from sharpv.bench import cache_bytes_linear, cache_bytes_table
+from sharpv.bench import cache_bytes_linear, cache_bytes_table, scoring_cost_scaling
 from sharpv.cache import SegmentedSequence
 from sharpv.decoder import Decoder, DecoderConfig
 from sharpv.memory import (
@@ -30,9 +30,7 @@ from sharpv.pruner import (
     VideoTokens,
     frame_thresholds,
     prune_video,
-    scoring_cost_scaling,
-    spatial_importance,
-    temporal_importance,
+    importance_maps,
 )
 from sharpv.synth import SyntheticVideoSpec, gen_prompt_embeddings, gen_synthetic_video, parse_pattern
 from sharpv.vecmath import cosine_sim, dissim
@@ -83,22 +81,20 @@ def test_c02_threshold_bounds():
     # static: every frame equals its predecessor -> thresholds exactly 0
     frame = rng.standard_normal((6, 8))
     static = VideoTokens(4, 6, 8, np.tile(frame, (4, 1)))
-    thr_static = frame_thresholds(
-        spatial_importance(static), temporal_importance(static)
-    )
+    thr_static = frame_thresholds(*importance_maps(static))
     static_ok = (thr_static[1:] == 0.0).all()
 
     # antipodal unit tokens: every frame flips sign -> thresholds exactly 1
     base = np.eye(6, 8)
     anti = VideoTokens(4, 6, 8, np.vstack([base, -base, base, -base]))
-    thr_anti = frame_thresholds(spatial_importance(anti), temporal_importance(anti))
+    thr_anti = frame_thresholds(*importance_maps(anti))
     anti_ok = np.allclose(thr_anti[1:], 1.0, atol=1e-9)
 
     bounds_ok = True
     for _ in range(200):
         n, f, d = int(rng.integers(1, 9)), int(rng.integers(1, 17)), int(rng.integers(1, 33))
         v = VideoTokens(n, f, d, rng.standard_normal((n * f, d)))
-        thr = frame_thresholds(spatial_importance(v), temporal_importance(v))
+        thr = frame_thresholds(*importance_maps(v))
         bounds_ok &= bool(((thr >= 0.0) & (thr <= 1.0)).all())
     elapsed = time.perf_counter() - start
     _verdict(
@@ -184,9 +180,9 @@ def test_c06_masking_vs_removal():
         plan = DiscardPlan(
             per_layer=rng.random(8) < 0.5, threshold=float("nan")
         )
-        removed = apply_discard(decoder.prefill(embedded, spans).cache, plan, spans)
+        removed = apply_discard(decoder.prefill(embedded, spans).cache, plan)
         removed.layers = [reencode_positions(l) for l in removed.layers]
-        masked = mask_discard(decoder.prefill(embedded, spans).cache, plan, spans)
+        masked = mask_discard(decoder.prefill(embedded, spans).cache, plan)
         tok = int(rng.integers(0, 64))
         for _ in range(3):
             logits_r, _ = decoder.decode_step(removed, decoder.embedding[tok])
@@ -216,7 +212,7 @@ def test_c07_mr_arithmetic():
         ))
     cache = LayeredKVCache(layers=layers)
     all_true = DiscardPlan(per_layer=np.ones(5, dtype=bool), threshold=1.0)
-    after = apply_discard(cache, all_true, spans)
+    after = apply_discard(cache, all_true)
     exact = mr_metric(cache, after)
 
     # monotone discard sets over the threshold sweep, on a real profile
@@ -237,7 +233,7 @@ def test_c07_mr_arithmetic():
         current = set(plan.discarded_layers())
         monotone &= previous <= current
         previous = current
-        swept = apply_discard(prefill.cache, plan, full_spans)
+        swept = apply_discard(prefill.cache, plan)
         mrs.append(mr_metric(prefill.cache, swept))
     non_increasing = all(a >= b for a, b in zip(mrs, mrs[1:]))
     _verdict(
@@ -330,7 +326,7 @@ def test_c11_synthetic_closed_form():
         video = gen_synthetic_video(
             SyntheticVideoSpec(n=6, f=9, d=16, seed=111, pattern=parse_pattern(f"uniform:{rate}"))
         )
-        thr = frame_thresholds(spatial_importance(video), temporal_importance(video))
+        thr = frame_thresholds(*importance_maps(video))
         expected = math.sin(rate / 2.0)
         worst = max(worst, float(np.max(np.abs(thr[1:] - expected))))
     _verdict(

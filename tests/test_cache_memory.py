@@ -195,7 +195,7 @@ class TestApplyDiscard:
         plan = discard_decision(
             DegradationProfile(per_layer_sim=np.ones(3)), -1.0
         )
-        out = apply_discard(cache, plan, spans_for())
+        out = apply_discard(cache, plan)
         for a, b in zip(out.layers, cache.layers):
             assert np.array_equal(a.keys, b.keys)
             assert np.array_equal(a.values, b.values)
@@ -208,7 +208,7 @@ class TestApplyDiscard:
         plan = discard_decision(
             DegradationProfile(per_layer_sim=np.zeros(4)), 1.0
         )
-        out = apply_discard(cache, plan, spans_for())
+        out = apply_discard(cache, plan)
         per_entry = cache.layers[0].keys[0].nbytes + cache.layers[0].values[0].nbytes
         assert out.total_entries() == cache.total_entries() - 4 * 4
         assert bytes_before - out.total_bytes() == 4 * 4 * per_entry
@@ -219,7 +219,7 @@ class TestApplyDiscard:
         cache = make_cache(4, seq_len=10, visual=(2, 6))
         prof = DegradationProfile(per_layer_sim=np.array([0.9, 0.1, 0.9, 0.1]))
         plan = discard_decision(prof, 0.2)
-        out = apply_discard(cache, plan, spans_for())
+        out = apply_discard(cache, plan)
         expected = [10 if not d else 6 for d in plan.per_layer]
         assert [len(l) for l in out.layers] == expected
 
@@ -232,7 +232,7 @@ class TestApplyDiscard:
             np.zeros((2, 4)), np.zeros((2, 4)), Segment.GENERATED, position=10
         )
         plan = discard_decision(DegradationProfile(per_layer_sim=np.zeros(2)), 1.0)
-        out = apply_discard(cache, plan, spans_for())
+        out = apply_discard(cache, plan)
         for layer in out.layers:
             counts = layer.segment_counts()
             assert counts["system"] == 2
@@ -243,14 +243,14 @@ class TestApplyDiscard:
         cache = make_cache(2)
         snapshot = cache.total_entries()
         plan = discard_decision(DegradationProfile(per_layer_sim=np.zeros(2)), 1.0)
-        apply_discard(cache, plan, spans_for())
+        apply_discard(cache, plan)
         assert cache.total_entries() == snapshot
 
     def test_length_mismatch_rejected(self):
         cache = make_cache(2)
         plan = discard_decision(DegradationProfile(per_layer_sim=np.zeros(3)), 1.0)
         with pytest.raises(ShapeMismatchError):
-            apply_discard(cache, plan, spans_for())
+            apply_discard(cache, plan)
 
 
 class TestReencode:
@@ -287,13 +287,13 @@ class TestMrMetric:
         # 12 of 20 entries are visual; discarding them all leaves 8/20 = 0.4
         cache = make_cache(5, seq_len=20, visual=(4, 16))
         plan = discard_decision(DegradationProfile(per_layer_sim=np.zeros(5)), 1.0)
-        after = apply_discard(cache, plan, spans_for(20, visual=(4, 16)))
+        after = apply_discard(cache, plan)
         assert mr_metric(cache, after) == 0.4
 
     def test_mixed_plan_hand_count(self):
         cache = make_cache(4, seq_len=10, visual=(2, 6))
         prof = DegradationProfile(per_layer_sim=np.array([0.5, 0.1, 0.5, 0.1]))
-        after = apply_discard(cache, discard_decision(prof, 0.2), spans_for())
+        after = apply_discard(cache, discard_decision(prof, 0.2))
         assert mr_metric(cache, after) == (10 + 6 + 10 + 6) / 40
 
     def test_layer_count_mismatch(self):
@@ -306,10 +306,9 @@ class TestMaskDiscard:
         cache = make_cache(3, seq_len=10, visual=(2, 6))
         prof = DegradationProfile(per_layer_sim=np.array([0.1, 0.9, 0.1]))
         plan = discard_decision(prof, 0.2)
-        spans = spans_for()
-        removed = apply_discard(cache, plan, spans)
+        removed = apply_discard(cache, plan)
         removed.layers = [reencode_positions(l) for l in removed.layers]
-        masked = mask_discard(cache, plan, spans)
+        masked = mask_discard(cache, plan)
         for rem, msk in zip(removed.layers, masked.layers):
             keep = msk.active
             assert np.array_equal(msk.position_ids[keep], rem.position_ids)

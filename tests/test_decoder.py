@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -111,6 +112,25 @@ class TestPrefill:
             decoder.prefill(np.ones((4, 9)), spans)  # wrong model dim
         with pytest.raises(ShapeMismatchError):
             decoder.prefill(np.ones((5, 8)), spans)  # wrong length for spans
+
+    def test_peak_memory_keeps_attention_temporaries_per_layer(self):
+        # The unit is one dense (H, T, T) float64 array. The bias lives for
+        # the whole pass and each layer needs a few more; a layer's scores
+        # or weights still alive in the next layer push the peak past 6.5.
+        config = DecoderConfig()
+        t = 800
+        decoder = Decoder(config)
+        embedded = np.random.default_rng(0).standard_normal((t, config.model_dim))
+        spans = SegmentedSequence(system_len=0, visual_len=t, instruction_len=0)
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            decoder.prefill(embedded, spans)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < 6.5 * config.heads * t * t * 8
 
 
 class TestDecodeStep:

@@ -100,9 +100,9 @@ class TestMaskingEquivalence:
             plan = discard_decision(
                 DegradationProfile(per_layer_sim=rng.uniform(-1, 1, size=4)), 0.0
             )
-            removed = apply_discard(prefill.cache, plan, spans)
+            removed = apply_discard(prefill.cache, plan)
             removed.layers = [reencode_positions(l) for l in removed.layers]
-            masked = mask_discard(decoder.prefill(embedded, spans).cache, plan, spans)
+            masked = mask_discard(decoder.prefill(embedded, spans).cache, plan)
 
             tok = 1
             for _ in range(3):

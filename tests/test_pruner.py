@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sharpv.bench import scoring_cost_scaling
 from sharpv.errors import ConfigError
 from sharpv.pruner import (
     MODE_ADAPTIVE,
@@ -14,10 +15,8 @@ from sharpv.pruner import (
     combined_importance,
     frame_thresholds,
     prune_video,
-    scoring_cost_scaling,
     select_topk,
-    spatial_importance,
-    temporal_importance,
+    importance_maps,
 )
 
 import reference_pruner as ref
@@ -57,18 +56,19 @@ class TestSpatialImportance:
     def test_identical_tokens_score_zero(self):
         frame = np.tile([1.0, 2.0, 3.0], (4, 1))
         v = VideoTokens(1, 4, 3, frame)
-        assert np.allclose(spatial_importance(v), 0.0, atol=1e-9)
+        assert np.allclose(importance_maps(v)[0], 0.0, atol=1e-9)
 
     def test_orthogonal_pair_frame(self):
         # both tokens sit sqrt(2 - sqrt(2)) away from their mean direction
         v = VideoTokens(1, 2, 2, np.array([[1.0, 0.0], [0.0, 1.0]]))
         expected = math.sqrt(2.0 - math.sqrt(2.0))
-        assert spatial_importance(v)[0] == pytest.approx([expected, expected], abs=1e-9)
+        spatial, _ = importance_maps(v)
+        assert spatial[0] == pytest.approx([expected, expected], abs=1e-9)
 
     def test_matches_loop_oracle(self):
         for seed in range(10):
             v = random_video(seed)
-            got = spatial_importance(v)
+            got = importance_maps(v)[0]
             want = ref.spatial(to_frames(v))
             assert got == pytest.approx(np.array(want), abs=1e-9)
 
@@ -77,22 +77,24 @@ class TestTemporalImportance:
     def test_repeated_frames_score_zero(self):
         frame = np.random.default_rng(0).standard_normal((5, 4))
         v = VideoTokens(3, 5, 4, np.tile(frame, (3, 1)))
-        t = temporal_importance(v)
+        t = importance_maps(v)[1]
         assert np.allclose(t[1:], 0.0, atol=1e-9)
 
     def test_first_frame_equals_spatial_row(self):
         v = random_video(1)
-        assert np.allclose(temporal_importance(v)[0], spatial_importance(v)[0], atol=1e-12)
+        spatial, temporal = importance_maps(v)
+        assert np.allclose(temporal[0], spatial[0], atol=1e-12)
 
     def test_antipodal_second_frame(self):
         f0 = np.eye(3)
         v = VideoTokens(2, 3, 3, np.vstack([f0, -f0]))
-        assert temporal_importance(v)[1] == pytest.approx([2.0, 2.0, 2.0], abs=1e-12)
+        _, temporal = importance_maps(v)
+        assert temporal[1] == pytest.approx([2.0, 2.0, 2.0], abs=1e-12)
 
     def test_matches_loop_oracle(self):
         for seed in range(10, 20):
             v = random_video(seed)
-            got = temporal_importance(v)
+            got = importance_maps(v)[1]
             want = ref.temporal(to_frames(v))
             assert got == pytest.approx(np.array(want), abs=1e-9)
 
@@ -100,12 +102,12 @@ class TestTemporalImportance:
 class TestCombined:
     def test_zero_weight_is_temporal(self):
         v = random_video(2)
-        s, t = spatial_importance(v), temporal_importance(v)
+        s, t = importance_maps(v)
         assert np.array_equal(combined_importance(s, t, 0.0), t)
 
     def test_equal_maps_double(self):
         v = random_video(3)
-        s = spatial_importance(v)
+        s = importance_maps(v)[0]
         assert np.allclose(combined_importance(s, s, 1.0), 2 * s, atol=1e-12)
 
     def test_elementwise_oracle(self):
@@ -119,7 +121,7 @@ class TestThresholds:
     def test_static_frame_zero(self):
         frame = np.random.default_rng(5).standard_normal((4, 3))
         v = VideoTokens(3, 4, 3, np.tile(frame, (3, 1)))
-        thr = frame_thresholds(spatial_importance(v), temporal_importance(v))
+        thr = frame_thresholds(*importance_maps(v))
         assert np.allclose(thr[1:], 0.0, atol=1e-12)
 
     def test_maximal_variation_is_one(self):
@@ -138,7 +140,7 @@ class TestThresholds:
         for _ in range(200):
             n, f, d = (int(rng.integers(1, 6)) for _ in range(3))
             v = VideoTokens(n, f + 1, d + 1, rng.standard_normal((n * (f + 1), d + 1)))
-            thr = frame_thresholds(spatial_importance(v), temporal_importance(v))
+            thr = frame_thresholds(*importance_maps(v))
             assert ((thr >= 0.0) & (thr <= 1.0)).all()
 
 
@@ -255,8 +257,7 @@ class TestProperties:
             v.n, v.f, v.d,
             np.concatenate([v.frame(t)[perm] for t in range(v.n)]),
         )
-        s1, s2 = spatial_importance(v), spatial_importance(permuted)
-        t1, t2 = temporal_importance(v), temporal_importance(permuted)
+        (s1, t1), (s2, t2) = importance_maps(v), importance_maps(permuted)
         assert np.allclose(s1[:, perm], s2, atol=1e-12)
         assert np.allclose(t1[:, perm], t2, atol=1e-12)
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from sharpv.errors import ConfigError
-from sharpv.pruner import PrunerConfig, frame_thresholds, prune_video, spatial_importance, temporal_importance
+from sharpv.pruner import PrunerConfig, frame_thresholds, importance_maps, prune_video
 from sharpv.synth import (
     Burst,
     Mixed,
@@ -70,7 +70,8 @@ class TestGeneration:
 
     def test_static_temporal_rows_zero(self):
         v = make(Static())
-        assert np.allclose(temporal_importance(v)[1:], 0.0, atol=1e-9)
+        _, temporal = importance_maps(v)
+        assert np.allclose(temporal[1:], 0.0, atol=1e-9)
 
     def test_float32_representable(self):
         v = make(UniformMotion(0.5))
@@ -85,7 +86,7 @@ class TestGeneration:
         # chord length is 2*sin(rate/2) for every token
         rate = 0.5
         v = make(UniformMotion(rate), n=5, f=4, d=8)
-        t = temporal_importance(v)
+        t = importance_maps(v)[1]
         assert t[1:] == pytest.approx(
             np.full((4, 4), 2 * math.sin(rate / 2)), abs=1e-6
         )
@@ -93,14 +94,14 @@ class TestGeneration:
     def test_uniform_closed_form_threshold(self):
         rate = 0.8
         v = make(UniformMotion(rate), n=5, f=9, d=8)
-        thr = frame_thresholds(spatial_importance(v), temporal_importance(v))
+        thr = frame_thresholds(*importance_maps(v))
         assert thr[1:] == pytest.approx(
             np.full(4, math.sin(rate / 2)), abs=1e-6
         )
 
     def test_burst_threshold_spikes(self):
         v = make(Burst(frames=(3,)), n=6, f=8, d=32)
-        thr = frame_thresholds(spatial_importance(v), temporal_importance(v))
+        thr = frame_thresholds(*importance_maps(v))
         assert thr[3] > thr[2] and thr[3] > thr[4]
         # non-burst frames copy their predecessor exactly
         assert thr[2] == pytest.approx(0.0, abs=1e-9)

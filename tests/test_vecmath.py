@@ -2,12 +2,13 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from sharpv.errors import ShapeMismatchError
 from sharpv.vecmath import (
+    NORM_EPS,
     cosine_sim,
     dissim,
     l2_normalize,
@@ -56,7 +57,18 @@ class TestDissim:
 
     @given(vec_strategy(6), vec_strategy(6), st.floats(min_value=1e-3, max_value=1e3))
     def test_scale_invariance(self, a, b, alpha):
+        # holds only while scaling keeps a on its side of the zero rule
+        assume((np.linalg.norm(a) < NORM_EPS) == (np.linalg.norm(alpha * a) < NORM_EPS))
         assert dissim(alpha * a, b) == pytest.approx(dissim(a, b), abs=1e-9)
+
+    def test_scaling_below_norm_eps_hits_zero_rule(self):
+        # norm 9.6e-10 stays a direction; scaled by 1e-3 it drops under
+        # NORM_EPS and counts as the zero vector
+        a = np.full(6, 3.927e-10)
+        b = np.zeros(6)
+        assert np.linalg.norm(a) >= NORM_EPS > np.linalg.norm(1e-3 * a)
+        assert dissim(a, b) == pytest.approx(1.0, abs=1e-12)
+        assert dissim(1e-3 * a, b) == 0.0
 
     @given(vec_strategy(8), vec_strategy(8))
     def test_chord_cosine_identity(self, a, b):

@@ -15,6 +15,15 @@ from cache contents alone, and entries flagged inactive (see
 ``KVCacheLayer.active``) are excluded by masking, which gives a direct
 equivalence check between evicting entries and masking them.
 
+Prefill never builds a (T, T) score array. Query block [i0, i1) of
+``_QUERY_BLOCK`` rows attends only to its causal key prefix [0, i1), so
+the masked triangle beyond i1 is never computed. That prefix holds every
+key the block's rows may read, so each row's softmax is exact as it
+stands: an online (running max/sum) softmax or key tiling would add
+nothing, as scores are already O(H * _QUERY_BLOCK * T). The distance
+bias is one (H, 2T-1) ramp per pass, and each block's bias is a read-only
+Toeplitz view of it (``_causal_bias``), O(H * T) memory in all.
+
 Weight draw order (all values standard normal scaled by 1/sqrt(model_dim)):
 token embedding (vocab, d); per layer wq, wk, wv, wo (d, d), w_mlp_in
 (d, mlp_dim), w_mlp_out (mlp_dim, d); output head (d, vocab).
@@ -32,6 +41,10 @@ from .errors import ConfigError, PositionOverflowError, ShapeMismatchError
 
 _LN_EPS = 1e-5
 _MASKED = -np.inf
+# Query rows per prefill attention block. One block's scores are at most
+# (H, 32, T); at T=1-2k, 16 and 64 rows were slower (more calls per row,
+# scores falling out of cache).
+_QUERY_BLOCK = 32
 
 # List of per-layer (total_len x d) inputs, one per decoder layer.
 HiddenTrace = list
@@ -102,6 +115,24 @@ def _head_slopes(heads: int) -> np.ndarray:
     return 2.0 ** (-8.0 * np.arange(1, heads + 1) / heads)
 
 
+def _causal_bias(ramp: np.ndarray, i0: int, i1: int) -> np.ndarray:
+    """Read-only (H, i1-i0, i1) bias of query rows [i0, i1) over keys [0, i1).
+
+    Column T-1-r of the (H, 2T-1) ``ramp`` holds the bias of distance r
+    (query minus key position): -slope*r, or -inf for r < 0. Entry
+    (h, i, j) reads column T-1-(i0+i)+j, so rows step back one column and
+    keys forward one; the columns read, [T-i1, T-2+i1-i0], lie in the ramp.
+    """
+    step = ramp.strides[1]
+    last = (ramp.shape[1] - 1) // 2  # T - 1, the column of distance 0
+    return np.lib.stride_tricks.as_strided(
+        ramp[:, last - i0:],
+        shape=(ramp.shape[0], i1 - i0, i1),
+        strides=(ramp.strides[0], -step, step),
+        writeable=False,
+    )
+
+
 class Decoder:
     """Immutable after construction; safe to share across runs."""
 
@@ -152,14 +183,19 @@ class Decoder:
         return (self._split_heads(xn @ lw.wq), self._split_heads(xn @ lw.wk),
                 self._split_heads(xn @ lw.wv))
 
-    def _attend_mlp(self, lw, x, q, keys, values, bias) -> np.ndarray:
-        """Attention of q over (H, S, head_dim) keys/values under an additive
-        (H, T, S) bias (-inf where a key may not be read), then the residual
-        and the MLP block; returns the layer output (T, d). The one attention
-        routine: prefill and decode_step differ only in keys and bias.
+    def _attend(self, q, keys, values, bias) -> np.ndarray:
+        """Attention of (H, T, head_dim) queries over (H, S, head_dim)
+        keys/values under an additive (H, T, S) bias (-inf where a key may
+        not be read); returns (H, T, head_dim). The one attention routine:
+        prefill calls it per query block, decode_step once per layer.
         """
         attn = _softmax(q @ keys.transpose(0, 2, 1) * self.inv_sqrt_hd + bias)
-        x = x + self._merge_heads(attn @ values) @ lw.wo
+        return attn @ values
+
+    def _residual_mlp(self, lw, x, attended) -> np.ndarray:
+        """Output projection of the (H, T, head_dim) attention result, the
+        residual, and the MLP block; returns the layer output (T, d)."""
+        x = x + self._merge_heads(attended) @ lw.wo
         return x + _gelu(_layer_norm(x) @ lw.w_mlp_in) @ lw.w_mlp_out
 
     def prefill(self, embedded: np.ndarray, spans: SegmentedSequence) -> PrefillResult:
@@ -167,6 +203,9 @@ class Decoder:
 
         Captures the input to every layer (the degradation trace) and the
         per-layer keys/values with segment tags and position ids 0..T-1.
+        Attention runs per block of ``_QUERY_BLOCK`` query rows over that
+        block's causal key prefix, with its bias a view of one distance
+        ramp built per pass; see the module docstring.
         """
         embedded = np.asarray(embedded, dtype=np.float64)
         if embedded.ndim != 2 or embedded.shape[1] != self.config.model_dim:
@@ -184,9 +223,10 @@ class Decoder:
             )
 
         positions = np.arange(total, dtype=np.int64)
-        dist = positions[:, None] - positions[None, :]  # (T, T), >=0 below diagonal
-        bias = -self.slopes[:, None, None] * dist[None, :, :]
-        bias = np.where(dist[None, :, :] < 0, _MASKED, bias)  # causal mask
+        dist = np.arange(total - 1, -total, -1, dtype=np.int64)  # T-1 down to 1-T
+        ramp = np.where(dist < 0, _MASKED, -self.slopes[:, None] * dist)  # (H, 2T-1)
+        blocks = [(i0, min(i0 + _QUERY_BLOCK, total)) for i0 in range(0, total, _QUERY_BLOCK)]
+        attended = np.empty((self.config.heads, total, self.config.head_dim))
 
         tags = spans.tags()
         trace: HiddenTrace = []
@@ -195,7 +235,11 @@ class Decoder:
         for lw in self.layers:
             trace.append(x.copy())
             q, k, v = self._qkv(lw, x)
-            x = self._attend_mlp(lw, x, q, k, v, bias)
+            for i0, i1 in blocks:
+                attended[:, i0:i1] = self._attend(
+                    q[:, i0:i1], k[:, :i1], v[:, :i1], _causal_bias(ramp, i0, i1)
+                )
+            x = self._residual_mlp(lw, x, attended)
             cache.layers.append(KVCacheLayer(
                 keys=k.transpose(1, 0, 2).copy(),  # (T, H, head_dim)
                 values=v.transpose(1, 0, 2).copy(),
@@ -238,7 +282,7 @@ class Decoder:
                 bias = np.where(layer.active, bias, _MASKED)
             keys = layer.keys.transpose(1, 0, 2)  # (H, S, hd)
             values = layer.values.transpose(1, 0, 2)
-            x = self._attend_mlp(lw, x, q, keys, values, bias)
+            x = self._residual_mlp(lw, x, self._attend(q, keys, values, bias))
         final_hidden = x[0].copy()
         logits = _layer_norm(x)[0] @ self.w_out
         return logits, final_hidden

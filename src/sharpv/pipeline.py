@@ -106,8 +106,13 @@ def run_pipeline(
     cache = apply_discard(prefill.cache, discard)
     cache.layers = [reencode_positions(layer) for layer in cache.layers]
     mr = mr_metric(prefill.cache, cache)
+    bytes_before = prefill.cache.total_bytes()
+    layers_before = prefill.cache.per_layer_segment_counts()
     bytes_after = cache.total_bytes()
     layers_after = cache.per_layer_segment_counts()
+    # Decode needs neither the L*T*d trace nor the unevicted cache; the
+    # report keeps only the counts taken above.
+    del prefill
 
     generated = _greedy(decoder, cache, first_token, config.decode_steps)
     t_end = time.perf_counter()
@@ -125,9 +130,9 @@ def run_pipeline(
         generated_tokens=generated,
         ttft_seconds=t_first - t_start,
         tpot_seconds=tpot,
-        cache_bytes_before=prefill.cache.total_bytes(),
+        cache_bytes_before=bytes_before,
         cache_bytes_after=bytes_after,
-        cache_layers_before=prefill.cache.per_layer_segment_counts(),
+        cache_layers_before=layers_before,
         cache_layers_after=layers_after,
         config=config_echo if config_echo is not None else _default_echo(config),
     )

@@ -5,8 +5,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from reference_decoder import dense_layer, dense_prefill
 from sharpv.cache import Segment, SegmentedSequence
-from sharpv.decoder import Decoder, DecoderConfig, init_decoder
+from sharpv.decoder import _QUERY_BLOCK, Decoder, DecoderConfig, init_decoder
 from sharpv.errors import ConfigError, PositionOverflowError, ShapeMismatchError
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -17,6 +18,20 @@ SMALL_DECODER_CHECKSUM = "639b4d558c387900c058f4694b4432f0272bb59ca430433ea3fdc9
 
 def small_config(seed=42):
     return DecoderConfig(layers=2, model_dim=8, heads=2, mlp_dim=16, vocab=16, seed=seed)
+
+
+def traced_prefill_peak(decoder, t):
+    """tracemalloc peak bytes of one prefill over t random rows."""
+    embedded = np.random.default_rng(0).standard_normal((t, decoder.config.model_dim))
+    spans = SegmentedSequence(system_len=0, visual_len=t, instruction_len=0)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        decoder.prefill(embedded, spans)
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
 
 
 class TestConfig:
@@ -119,18 +134,55 @@ class TestPrefill:
         # or weights still alive in the next layer push the peak past 6.5.
         config = DecoderConfig()
         t = 800
-        decoder = Decoder(config)
-        embedded = np.random.default_rng(0).standard_normal((t, config.model_dim))
-        spans = SegmentedSequence(system_len=0, visual_len=t, instruction_len=0)
-        tracemalloc.start()
-        try:
-            tracemalloc.reset_peak()
-            base = tracemalloc.get_traced_memory()[0]
-            decoder.prefill(embedded, spans)
-            peak = tracemalloc.get_traced_memory()[1] - base
-        finally:
-            tracemalloc.stop()
+        peak = traced_prefill_peak(Decoder(config), t)
         assert peak < 6.5 * config.heads * t * t * 8
+
+    def test_peak_memory_grows_linearly_in_length(self):
+        # Query-block attention keeps O(H * block * T) scores and an
+        # O(H * T) bias ramp; a dense (H, T, T) temporary would quadruple
+        # the peak when T doubles and alone exceed half of the unit.
+        config = DecoderConfig()
+        decoder = Decoder(config)
+        peak_1k = traced_prefill_peak(decoder, 1024)
+        peak_2k = traced_prefill_peak(decoder, 2048)
+        assert peak_2k <= 2.2 * peak_1k
+        assert peak_2k < 0.5 * config.heads * 2048 * 2048 * 8
+
+    def test_max_positions_prompt_completes(self):
+        # One dense (1, 8192, 8192) float64 temporary alone is 512 MiB.
+        config = DecoderConfig(layers=1, heads=1, model_dim=16, mlp_dim=64)
+        peak = traced_prefill_peak(Decoder(config), config.max_positions)
+        assert peak < 64 * 2**20
+
+
+class TestQueryBlockEquivalence:
+    """Decoder.prefill (query blocks, causal key prefix, bias views of one
+    ramp) against the dense (H, T, T) oracle in reference_decoder.py."""
+
+    @pytest.mark.parametrize(
+        "t", [1, _QUERY_BLOCK - 1, _QUERY_BLOCK, _QUERY_BLOCK + 1, 3 * _QUERY_BLOCK + 5]
+    )
+    def test_matches_dense_oracle(self, t):
+        decoder = Decoder(DecoderConfig(layers=3, seed=3))
+        embedded = np.random.default_rng(t).standard_normal((t, 64))
+        spans = SegmentedSequence(system_len=t // 3, visual_len=t - t // 3, instruction_len=0)
+        res = decoder.prefill(embedded, spans)
+        want = dense_prefill(decoder, embedded)
+
+        assert np.abs(res.final_hidden - want["final_hidden"]).max() <= 1e-12
+        assert np.abs(res.logits - want["logits"]).max() <= 1e-12
+        assert np.array_equal(res.trace[0], want["trace"][0])
+        tags = spans.tags()
+        for l, (lw, layer) in enumerate(zip(decoder.layers, res.cache.layers)):
+            # fed the decoder's own layer input, the oracle projects the
+            # same keys and values bit for bit
+            keys, values, out = dense_layer(decoder, lw, res.trace[l])
+            assert np.array_equal(layer.keys, keys)
+            assert np.array_equal(layer.values, values)
+            assert np.array_equal(layer.position_ids, np.arange(t))
+            assert np.array_equal(layer.segment_tags, tags)
+            nxt = res.trace[l + 1] if l + 1 < len(res.trace) else res.final_hidden
+            assert np.abs(nxt - out).max() <= 1e-12
 
 
 class TestDecodeStep:

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -83,6 +84,35 @@ class TestDiscardInPipeline:
         )
         assert keep_all.mr == 1.0
         assert evict_all.mr < 1.0
+
+    def test_prefill_result_is_released_before_decode(self, monkeypatch):
+        # At the first decode step only the evicted cache and a few
+        # prompt-sized (T, d) arrays (the assembled prompt, the kept visual
+        # tokens) may be alive. The L*T*d trace or the unevicted prefill
+        # cache (2*L*T*d) still referenced would each exceed that by far.
+        decoder = toy_decoder()
+        video, prompt = make_inputs(n=16, f=16)
+        live = []
+        decode_step = Decoder.decode_step
+
+        def spy(self, cache, embedding):
+            if not live:
+                live.append(tracemalloc.get_traced_memory()[0])
+            return decode_step(self, cache, embedding)
+
+        monkeypatch.setattr(Decoder, "decode_step", spy)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            _, report = run_pipeline(
+                decoder, video, prompt, PipelineConfig(degradation_threshold=1.0, decode_steps=2)
+            )
+        finally:
+            tracemalloc.stop()
+        total = sum(report.cache_layers_before[0].values())
+        row_bytes = total * decoder.config.model_dim * 8
+        assert report.cache_bytes_before > report.cache_bytes_after + 4 * row_bytes
+        assert live[0] - base < report.cache_bytes_after + 4 * row_bytes
 
 
 class TestMaskingEquivalence:

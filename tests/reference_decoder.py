@@ -6,6 +6,10 @@ full (H, T, T) score array, an explicit distance bias and a causal mask
 over every query-key pair. ``Decoder.prefill`` computes the same thing
 per query block without the masked triangle, so the two can only agree
 by computing the same attention. Used as the oracle in equivalence tests.
+
+The elementwise kernels are the textbook forms too (``x.mean``/``x.var``,
+``x**3``, a softmax that allocates), so they also serve as the oracle of
+the decoder's in-place, ``pow``-free kernels.
 """
 
 import numpy as np
@@ -21,6 +25,11 @@ def layer_norm(x):
 
 def gelu(x):
     return 0.5 * x * (1.0 + np.tanh(np.sqrt(2.0 / np.pi) * (x + 0.044715 * x**3)))
+
+
+def softmax(scores):
+    weights = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    return weights / weights.sum(axis=-1, keepdims=True)
 
 
 def dense_layer(decoder, lw, x):
@@ -39,9 +48,7 @@ def dense_layer(decoder, lw, x):
     k = (xn @ lw.wk).reshape(t, heads, hd)
     v = (xn @ lw.wv).reshape(t, heads, hd)
     scores = np.einsum("ihc,jhc->hij", q, k) / np.sqrt(hd) + bias  # (H, T, T)
-    weights = np.exp(scores - scores.max(axis=-1, keepdims=True))
-    weights /= weights.sum(axis=-1, keepdims=True)
-    attended = np.einsum("hij,jhc->ihc", weights, v).reshape(t, d)
+    attended = np.einsum("hij,jhc->ihc", softmax(scores), v).reshape(t, d)
     x = x + attended @ lw.wo
     return k, v, x + gelu(layer_norm(x) @ lw.w_mlp_in) @ lw.w_mlp_out
 

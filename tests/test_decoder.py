@@ -5,10 +5,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from reference_decoder import dense_layer, dense_prefill
+from reference_decoder import dense_layer, dense_prefill, gelu, layer_norm, softmax
 from sharpv.cache import Segment, SegmentedSequence
-from sharpv.decoder import _QUERY_BLOCK, Decoder, DecoderConfig, init_decoder
+from sharpv.decoder import (
+    _QUERY_BLOCK, Decoder, DecoderConfig, _causal_bias, _gelu, _layer_norm, _softmax,
+    init_decoder,
+)
 from sharpv.errors import ConfigError, PositionOverflowError, ShapeMismatchError
+from sharpv.memory import DiscardPlan, mask_discard
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -183,6 +187,67 @@ class TestQueryBlockEquivalence:
             assert np.array_equal(layer.segment_tags, tags)
             nxt = res.trace[l + 1] if l + 1 < len(res.trace) else res.final_hidden
             assert np.abs(nxt - out).max() <= 1e-12
+
+
+class TestKernels:
+    """The in-place, pow-free kernels against the textbook forms in
+    reference_decoder.py. Only _gelu's arithmetic differs (x*x*x for x**3)."""
+
+    @pytest.mark.parametrize("t", [1, 33, 1062])
+    @pytest.mark.parametrize("scale", [1e-2, 1.0, 1e2])
+    def test_layer_norm_bit_identical(self, t, scale):
+        rng = np.random.default_rng(t)
+        x = scale * (rng.standard_normal((t, 64)) + rng.standard_normal(64))
+        assert np.array_equal(_layer_norm(x), layer_norm(x))
+
+    def test_softmax_bit_identical_with_masked_entries(self):
+        rng = np.random.default_rng(7)
+        scores = 10.0 * rng.standard_normal((4, 32, 97))
+        scores[rng.random(scores.shape) < 0.3] = -np.inf
+        scores[..., 0] = 0.0  # every row keeps an attendable entry
+        want = softmax(scores)
+        assert np.array_equal(_softmax(scores.copy()), want)
+
+    def test_gelu_within_two_ulps_of_pow_form(self):
+        x = np.concatenate([np.linspace(-30.0, 30.0, 600_001), [1e6, -1e6, 0.0, -0.0]])
+        err = np.abs(_gelu(x) - gelu(x))
+        assert (err <= 2 * np.finfo(np.float64).eps * np.maximum(1.0, np.abs(x))).all()
+
+
+class TestNoAliasing:
+    """The kernels write only into arrays they allocate."""
+
+    def test_attend_accepts_read_only_inputs(self):
+        decoder = Decoder(DecoderConfig(seed=1))
+        rng = np.random.default_rng(8)
+        t, h, hd = 40, decoder.config.heads, decoder.config.head_dim
+        q, keys, values = (rng.standard_normal((h, t, hd)) for _ in range(3))
+        dist = np.arange(t - 1, -t, -1)
+        bias = _causal_bias(np.where(dist < 0, -np.inf, -decoder.slopes[:, None] * dist), 0, t)
+        want = decoder._attend(q.copy(), keys.copy(), values.copy(), bias.copy())
+        for arr in (q, keys, values):
+            arr.flags.writeable = False
+        assert not bias.flags.writeable
+        assert np.array_equal(decoder._attend(q, keys, values, bias), want)
+
+    @pytest.mark.parametrize("masked", [False, True])
+    def test_decode_step_leaves_cached_entries_unchanged(self, masked):
+        decoder = Decoder(DecoderConfig(layers=3, seed=2))
+        embedded = np.random.default_rng(9).standard_normal((50, 64))
+        spans = SegmentedSequence(system_len=4, visual_len=40, instruction_len=6)
+        cache = decoder.prefill(embedded, spans).cache
+        if masked:  # the masked twin shares key/value arrays with its source
+            cache = mask_discard(cache, DiscardPlan(np.array([False, True, True]), 0.2))
+        fields = ("keys", "values", "position_ids", "segment_tags")
+        held = [[getattr(layer, f) for f in fields] for layer in cache.layers]
+        before = [[a.copy() for a in arrays] for arrays in held]
+        for tok in (3, 5):
+            decoder.decode_step(cache, decoder.embedding[tok])
+        for layer, arrays, snap in zip(cache.layers, held, before):
+            n = len(snap[0])
+            for f, arr, want in zip(fields, arrays, snap):
+                assert np.array_equal(arr, want)
+                assert np.array_equal(getattr(layer, f)[:n], want)
 
 
 class TestDecodeStep:

@@ -36,7 +36,7 @@ from .memory import (
     mr_metric,
     reencode_positions,
 )
-from .pipeline import PipelineConfig, PromptEmbeddings, baseline_generate, run_pipeline
+from .pipeline import PipelineConfig, PromptEmbeddings, baseline_generate, prefill_with_eviction, run_pipeline
 from .pruner import (
     MODE_ADAPTIVE,
     MODE_MANUAL,
@@ -83,7 +83,8 @@ __all__ = [
     "degradation_profile", "discard_decision", "dissim", "frame_thresholds",
     "gen_prompt_embeddings", "gen_synthetic_video", "importance_maps", "init_decoder",
     "l2_normalize", "mask_discard", "mean_rows", "mr_metric",
-    "paired_row_dissim", "parse_pattern", "pattern_to_string", "prune_video",
+    "paired_row_dissim", "parse_pattern", "pattern_to_string", "prefill_with_eviction",
+    "prune_video",
     "read_video", "reencode_positions", "row_dissim", "run_bench",
     "run_pipeline", "scoring_cost_scaling", "scoring_table", "select_topk",
     "unit_rows",

@@ -57,6 +57,12 @@ class SegmentedSequence:
     def instruction_span(self) -> tuple[int, int]:
         return (self.system_len + self.visual_len, self.total_len)
 
+    def segment_counts(self) -> dict[str, int]:
+        """Entries per segment, as ``KVCacheLayer.segment_counts`` gives
+        them for a layer prefilled over this sequence."""
+        return {"system": self.system_len, "visual": self.visual_len,
+                "instruction": self.instruction_len, "generated": 0}
+
     def tags(self) -> np.ndarray:
         """Per-position segment tags, shape (total_len,) uint8."""
         out = np.empty(self.total_len, dtype=np.uint8)

@@ -22,7 +22,10 @@ key the block's rows may read, so each row's softmax is exact as it
 stands: an online (running max/sum) softmax or key tiling would add
 nothing, as scores are already O(H * _QUERY_BLOCK * T). The distance
 bias is one (H, 2T-1) ramp per pass, and each block's bias is a read-only
-Toeplitz view of it (``_causal_bias``), O(H * T) memory in all.
+Toeplitz view of it (``_causal_bias``), O(H * T) memory in all. In
+prefill and decode alike, finite bias entries stop at ``_BIAS_FLOOR``,
+which binds only beyond distance 700/slope (2800 for head 0 at the
+default 4 heads).
 
 Weight draw order (all values standard normal scaled by 1/sqrt(model_dim)):
 token embedding (vocab, d); per layer wq, wk, wv, wo (d, d), w_mlp_in
@@ -33,6 +36,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -41,13 +45,20 @@ from .errors import ConfigError, PositionOverflowError, ShapeMismatchError
 
 _LN_EPS = 1e-5
 _MASKED = -np.inf
+# Floor of the finite distance bias. Below about -708, np.exp of a shifted
+# score leaves numpy's vector loop for a scalar path 18-120x slower per
+# element; at 4 heads, head 0 (slope 0.25) passes it beyond distance ~2830.
+# A key at the floor already weighs under e^-700 of the diagonal (bias 0),
+# so its weight is lost in rounding either way.
+_BIAS_FLOOR = -700.0
 # Query rows per prefill attention block. One block's scores are at most
 # (H, 32, T); at T=1-2k, 16 and 64 rows were slower (more calls per row,
 # scores falling out of cache).
 _QUERY_BLOCK = 32
 
-# List of per-layer (total_len x d) inputs, one per decoder layer.
-HiddenTrace = list
+# Per-layer prefill hook: called with a layer's (total_len, d) input states
+# and its freshly built KVCacheLayer; returns the layer to store.
+LayerHook = Callable[[np.ndarray, KVCacheLayer], KVCacheLayer]
 
 
 @dataclass(frozen=True)
@@ -89,7 +100,6 @@ class LayerWeights:
 
 @dataclass(frozen=True)
 class PrefillResult:
-    trace: HiddenTrace  # inputs to each layer, L arrays of (total_len, d)
     cache: LayeredKVCache
     logits: np.ndarray  # (vocab,) for the final position
     final_hidden: np.ndarray  # (total_len, d), output of the last layer pre-norm
@@ -224,14 +234,21 @@ class Decoder:
         x = x + self._merge_heads(attended) @ lw.wo
         return x + _gelu(_layer_norm(x) @ lw.w_mlp_in) @ lw.w_mlp_out
 
-    def prefill(self, embedded: np.ndarray, spans: SegmentedSequence) -> PrefillResult:
+    def prefill(
+        self, embedded: np.ndarray, spans: SegmentedSequence,
+        layer_hook: LayerHook | None = None,
+    ) -> PrefillResult:
         """Causal forward pass over the whole prompt.
 
-        Captures the input to every layer (the degradation trace) and the
-        per-layer keys/values with segment tags and position ids 0..T-1.
-        Attention runs per block of ``_QUERY_BLOCK`` query rows over that
-        block's causal key prefix, with its bias a view of one distance
-        ramp built per pass; see the module docstring.
+        Builds each layer's keys/values with segment tags and position ids
+        0..T-1. With a ``layer_hook``, every layer is passed through it
+        together with that layer's input states as soon as it is built, and
+        the cache stores what the hook returns; the pipeline evicts there
+        (stage 2), so no layer's input is kept and a discarded layer's
+        visual rows never reach the cache. Without one, every layer is
+        stored whole. Attention runs per block of ``_QUERY_BLOCK`` query
+        rows over that block's causal key prefix, with its bias a view of
+        one distance ramp built per pass; see the module docstring.
         """
         embedded = np.asarray(embedded, dtype=np.float64)
         if embedded.ndim != 2 or embedded.shape[1] != self.config.model_dim:
@@ -250,30 +267,34 @@ class Decoder:
 
         positions = np.arange(total, dtype=np.int64)
         dist = np.arange(total - 1, -total, -1, dtype=np.int64)  # T-1 down to 1-T
-        ramp = np.where(dist < 0, _MASKED, -self.slopes[:, None] * dist)  # (H, 2T-1)
+        ramp = np.maximum(-self.slopes[:, None] * dist, _BIAS_FLOOR)  # (H, 2T-1)
+        ramp[:, dist < 0] = _MASKED
         blocks = [(i0, min(i0 + _QUERY_BLOCK, total)) for i0 in range(0, total, _QUERY_BLOCK)]
+        biases = [_causal_bias(ramp, i0, i1) for i0, i1 in blocks]  # read by every layer
         attended = np.empty((self.config.heads, total, self.config.head_dim))
 
         tags = spans.tags()
-        trace: HiddenTrace = []
         cache = LayeredKVCache()
         x = embedded.copy()
         for lw in self.layers:
-            trace.append(x.copy())
             q, k, v = self._qkv(lw, x)
-            for i0, i1 in blocks:
-                attended[:, i0:i1] = self._attend(
-                    q[:, i0:i1], k[:, :i1], v[:, :i1], _causal_bias(ramp, i0, i1)
-                )
-            x = self._residual_mlp(lw, x, attended)
-            cache.layers.append(KVCacheLayer(
-                keys=k.transpose(1, 0, 2).copy(),  # (T, H, head_dim)
-                values=v.transpose(1, 0, 2).copy(),
+            for (i0, i1), bias in zip(blocks, biases):
+                attended[:, i0:i1] = self._attend(q[:, i0:i1], k[:, :i1], v[:, :i1], bias)
+            # (T, H, head_dim) views of the fresh, C-contiguous (T, d)
+            # projections: nothing else holds them, so no copy is needed.
+            layer = KVCacheLayer(
+                keys=k.transpose(1, 0, 2),
+                values=v.transpose(1, 0, 2),
                 position_ids=positions.copy(),
                 segment_tags=tags.copy(),
-            ))
+            )
+            del q, k, v  # the layer alone holds k and v: a hook that drops rows frees them
+            if layer_hook is not None:
+                layer = layer_hook(x, layer)
+            cache.layers.append(layer)
+            x = self._residual_mlp(lw, x, attended)
         logits = _layer_norm(x[-1:])[0] @ self.w_out  # rows normalise independently
-        return PrefillResult(trace=trace, cache=cache, logits=logits, final_hidden=x)
+        return PrefillResult(cache=cache, logits=logits, final_hidden=x)
 
     def decode_step(
         self, cache: LayeredKVCache, embedding: np.ndarray
@@ -304,6 +325,7 @@ class Decoder:
             q, k, v = self._qkv(lw, x)  # (H, 1, hd) each
             layer.append(k[:, 0], v[:, 0], Segment.GENERATED, position=pos)
             bias = self.slopes[:, None, None] * (layer.position_ids - pos)  # (H, 1, S)
+            np.maximum(bias, _BIAS_FLOOR, out=bias)
             if layer.active is not None:
                 bias = np.where(layer.active, bias, _MASKED)
             keys = layer.keys.transpose(1, 0, 2)  # (H, S, hd)

@@ -14,8 +14,11 @@ attention kernels that never materialize score matrices.
 Eviction keeps system, instruction, and generated entries in every layer;
 only the visual span of a discarded layer is removed. After removal,
 position ids are compacted to 0..len-1 so the distance-based attention
-bias sees a gapless coordinate system. The profile is computed once at
-the end of prefill and the plan applied once before decoding starts.
+bias sees a gapless coordinate system. The functions take whole traces
+and caches; the pipeline calls them on one layer at a time from inside
+prefill (``pipeline.prefill_with_eviction``), as soon as the layer's
+input states and keys/values exist, so no trace is kept and a discarded
+layer's visual entries are dropped before the cache stores them.
 """
 
 from __future__ import annotations
@@ -28,6 +31,10 @@ import numpy as np
 from .cache import KVCacheLayer, LayeredKVCache, Segment, SegmentedSequence
 from .errors import ShapeMismatchError
 from .vecmath import NORM_EPS
+
+# numpy compares a uint8 array with a plain int about 3x faster than with
+# the IntEnum member.
+_VISUAL = int(Segment.VISUAL)
 
 
 @dataclass(frozen=True)
@@ -48,13 +55,21 @@ class DiscardPlan:
 
 
 def _row_cosines(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    # cosine per row; rows with ~zero norm contribute 0
-    na = np.linalg.norm(a, axis=1)
-    nb = np.linalg.norm(b, axis=1)
-    dots = np.einsum("ij,ij->i", a, b)
-    denom = na * nb
-    out = np.where(denom < NORM_EPS, 0.0, dots / np.where(denom < NORM_EPS, 1.0, denom))
-    return np.clip(out, -1.0, 1.0)
+    # cosine per row; rows whose norm product is ~zero score 0. Runs once
+    # per layer inside prefill, so it is a few cheap calls: per-row dot
+    # products as batched (1, d) @ (d, 1) matmuls (an einsum costs more per
+    # call), and a masked division only when some row is ~zero.
+    a_rows, b_cols = a[:, None, :], b[:, :, None]
+    denom = (a_rows @ a[:, :, None]).ravel()
+    denom *= (b[:, None, :] @ b_cols).ravel()
+    np.sqrt(denom, out=denom)
+    out = (a_rows @ b_cols).ravel()
+    if denom.min() >= NORM_EPS:
+        out /= denom
+    else:
+        out = np.divide(out, denom, out=np.zeros_like(out), where=denom >= NORM_EPS)
+    np.minimum(out, 1.0, out=out)
+    return np.maximum(out, -1.0, out=out)
 
 
 def degradation_profile(
@@ -79,7 +94,7 @@ def degradation_profile(
             raise ShapeMismatchError(
                 f"layer {l} states have shape {states.shape}, expected {original.shape}"
             )
-        sims[l] = _row_cosines(states[vs], ref).mean()
+        sims[l] = _row_cosines(states[vs], ref).sum() / spans.visual_len  # as .mean()
     return DegradationProfile(per_layer_sim=sims)
 
 
@@ -105,17 +120,23 @@ def apply_discard(cache: LayeredKVCache, plan: DiscardPlan) -> LayeredKVCache:
         )
     layers = []
     for discard, layer in zip(plan.per_layer, cache.layers):
-        keep = layer.segment_tags != Segment.VISUAL if discard else slice(None)
+        keep = np.flatnonzero(layer.segment_tags != _VISUAL) if discard else None
         layers.append(
             KVCacheLayer(
-                keys=layer.keys[keep],
-                values=layer.values[keep],
-                position_ids=layer.position_ids[keep],
-                segment_tags=layer.segment_tags[keep],
-                active=layer.active[keep] if layer.active is not None else None,
+                keys=_rows(layer.keys, keep),
+                values=_rows(layer.values, keep),
+                position_ids=_rows(layer.position_ids, keep),
+                segment_tags=_rows(layer.segment_tags, keep),
+                active=_rows(layer.active, keep) if layer.active is not None else None,
             )
         )
     return LayeredKVCache(layers=layers)
+
+
+def _rows(arr: np.ndarray, keep: np.ndarray | None) -> np.ndarray:
+    # The rows at index array ``keep``, or a view of all rows for None;
+    # take() costs less per call than fancy indexing.
+    return arr[:] if keep is None else arr.take(keep, axis=0)
 
 
 def mask_discard(cache: LayeredKVCache, plan: DiscardPlan) -> LayeredKVCache:
@@ -134,7 +155,7 @@ def mask_discard(cache: LayeredKVCache, plan: DiscardPlan) -> LayeredKVCache:
     layers = []
     for discard, layer in zip(plan.per_layer, cache.layers):
         base = layer.active if layer.active is not None else np.ones(len(layer), dtype=bool)
-        active = base & (layer.segment_tags != Segment.VISUAL) if discard else base
+        active = base & (layer.segment_tags != _VISUAL) if discard else base
         # Rank among active entries; inactive rows inherit a stale id that
         # attention never reads (their scores are masked to -inf).
         positions = np.maximum(np.cumsum(active) - 1, 0).astype(np.int64)

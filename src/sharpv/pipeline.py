@@ -1,16 +1,20 @@
-"""End-to-end run: prune visual tokens, prefill, evict cache, decode.
+"""End-to-end run: prune visual tokens, prefill with eviction, decode.
 
 Order of operations and where the clocks sit:
 
   1. score + prune the video (visual stage)
-  2. assemble system | kept visual | instruction and prefill
+  2. assemble system | kept visual | instruction and prefill; as prefill
+     builds each layer, stage 2 scores the layer's input states, decides
+     its discard and, for a discarded layer, drops the visual rows and
+     re-encodes positions (``prefill_with_eviction``)
   3. first token = argmax over the prefill logits  <- TTFT stops here
-  4. degradation profile over the prefill trace -> discard plan
-  5. snapshot cache size, apply the plan, re-encode positions
-  6. greedy decode the remaining steps             <- TPOT averages these
+  4. greedy decode the remaining steps             <- TPOT averages these
 
-Eviction runs after the first token, so its cost lands in TPOT, not
-TTFT, matching how prefill-time cache surgery amortizes in serving.
+Stage 2 therefore costs TTFT, not TPOT: it needs only each layer's own
+input, so it runs while that layer is built, and neither the L*T*d
+hidden-state trace nor a discarded layer's visual keys/values outlive
+the layer. The report's before-eviction figures are those of a full
+prefill cache, from the prompt's spans.
 """
 
 from __future__ import annotations
@@ -20,14 +24,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cache import LayeredKVCache, SegmentedSequence
-from .decoder import Decoder
+from .cache import KVCacheLayer, LayeredKVCache, SegmentedSequence
+from .decoder import Decoder, PrefillResult
 from .errors import ConfigError, ShapeMismatchError
 from .memory import (
+    DegradationProfile,
+    DiscardPlan,
     apply_discard,
     degradation_profile,
     discard_decision,
-    mr_metric,
     reencode_positions,
 )
 from .pruner import MODE_ADAPTIVE, MODE_MANUAL, PrunerConfig, VideoTokens, prune_video
@@ -96,23 +101,22 @@ def run_pipeline(
     pruned, importance, plan = prune_video(video, config.pruner_config())
 
     embedded, spans = _assemble(prompt, pruned.tokens)
-    prefill = decoder.prefill(embedded, spans)
+    prefill, profile, discard = prefill_with_eviction(
+        decoder, embedded, spans, config.degradation_threshold
+    )
     first_token = int(np.argmax(prefill.logits))
     t_first = time.perf_counter()
 
-    profile = degradation_profile(prefill.trace, embedded, spans)
-    discard = discard_decision(profile, config.degradation_threshold)
-
-    cache = apply_discard(prefill.cache, discard)
-    cache.layers = [reencode_positions(layer) for layer in cache.layers]
-    mr = mr_metric(prefill.cache, cache)
-    bytes_before = prefill.cache.total_bytes()
-    layers_before = prefill.cache.per_layer_segment_counts()
+    cache = prefill.cache
+    # A full prefill cache holds float64 keys and values for all T rows in
+    # every layer; the evicted one is measured.
+    rows_before = len(cache) * spans.total_len
+    mr = cache.total_entries() / rows_before
+    bytes_before = rows_before * 2 * decoder.config.model_dim * 8
+    layers_before = [spans.segment_counts() for _ in cache.layers]
     bytes_after = cache.total_bytes()
     layers_after = cache.per_layer_segment_counts()
-    # Decode needs neither the L*T*d trace nor the unevicted cache; the
-    # report keeps only the counts taken above.
-    del prefill
+    del prefill  # decode needs only the cache
 
     generated = _greedy(decoder, cache, first_token, config.decode_steps)
     t_end = time.perf_counter()
@@ -138,6 +142,34 @@ def run_pipeline(
     )
     validate_report(report)
     return generated, report
+
+
+def prefill_with_eviction(
+    decoder: Decoder, embedded: np.ndarray, spans: SegmentedSequence, threshold: float
+) -> tuple[PrefillResult, DegradationProfile, DiscardPlan]:
+    """Prefill with stage 2 run on each layer as the decoder builds it.
+
+    The layer's input states give its degradation score
+    (``degradation_profile`` over that one layer) and its discard decision;
+    a discarded layer goes through ``apply_discard`` and
+    ``reencode_positions`` before the cache stores it. The result's cache
+    is the evicted one, and the profile and plan cover every layer: the
+    same as profiling a full prefill's trace and then evicting its cache.
+    """
+    sims = []
+
+    def evict(states: np.ndarray, layer: KVCacheLayer) -> KVCacheLayer:
+        profile = degradation_profile([states], embedded, spans)
+        sims.append(profile.per_layer_sim[0])
+        plan = discard_decision(profile, threshold)
+        if plan.per_layer[0]:
+            # a kept layer's positions are already 0..T-1
+            layer = reencode_positions(apply_discard(LayeredKVCache([layer]), plan).layers[0])
+        return layer
+
+    prefill = decoder.prefill(embedded, spans, layer_hook=evict)
+    profile = DegradationProfile(per_layer_sim=np.array(sims))
+    return prefill, profile, discard_decision(profile, threshold)
 
 
 def baseline_generate(

@@ -12,9 +12,12 @@ Schema (schema_version 1, all keys always present):
   generated_tokens      list[int], greedy token ids in decode order
   ttft_seconds          float, wall time to the first generated token
   tpot_seconds          float, mean wall time per subsequent token
-  cache_bytes_before    int, KV payload bytes at end of prefill
+  cache_bytes_before    int, KV payload bytes a full prefill cache would
+                        hold (every layer keeps all prompt rows); eviction
+                        runs inside prefill, so this cache never exists
   cache_bytes_after     int, KV payload bytes after eviction
-  cache_layers_before   list[dict], per-layer entry counts by segment
+  cache_layers_before   list[dict], per-layer entry counts by segment of
+                        that full cache
   cache_layers_after    list[dict], same after eviction
   config                dict, echo of the effective run configuration
 

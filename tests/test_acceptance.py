@@ -36,6 +36,7 @@ from sharpv.synth import SyntheticVideoSpec, gen_prompt_embeddings, gen_syntheti
 from sharpv.vecmath import cosine_sim, dissim
 
 import reference_pruner as ref
+from prefill_trace import traced_prefill
 
 
 def _verdict(number, name, passed, detail=""):
@@ -224,8 +225,8 @@ def test_c07_mr_arithmetic():
     full_spans = SegmentedSequence(
         system_len=4, visual_len=video.data.shape[0], instruction_len=8
     )
-    prefill = decoder.prefill(embedded, full_spans)
-    profile = degradation_profile(prefill.trace, embedded, full_spans)
+    prefill, trace = traced_prefill(decoder, embedded, full_spans)
+    profile = degradation_profile(trace, embedded, full_spans)
     previous, monotone = set(), True
     mrs = []
     for m in (-1.0, 0.0, 0.1, 0.2, 0.4, 1.0):

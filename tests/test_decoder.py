@@ -5,8 +5,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from prefill_trace import traced_prefill
 from reference_decoder import dense_layer, dense_prefill, gelu, layer_norm, softmax
-from sharpv.cache import Segment, SegmentedSequence
+import sharpv.decoder
+from sharpv.cache import KVCacheLayer, Segment, SegmentedSequence
 from sharpv.decoder import (
     _QUERY_BLOCK, Decoder, DecoderConfig, _causal_bias, _gelu, _layer_norm, _softmax,
     init_decoder,
@@ -85,10 +87,10 @@ class TestPrefill:
         rng = np.random.default_rng(0)
         embedded = rng.standard_normal((6, 8))
         spans = SegmentedSequence(system_len=1, visual_len=4, instruction_len=1)
-        res = decoder.prefill(embedded, spans)
-        assert len(res.trace) == 2
-        assert all(t.shape == (6, 8) for t in res.trace)
-        assert np.array_equal(res.trace[0], embedded)  # layer-0 input is the embedding
+        _, trace = traced_prefill(decoder, embedded, spans)
+        assert len(trace) == 2
+        assert all(t.shape == (6, 8) for t in trace)
+        assert np.array_equal(trace[0], embedded)  # layer-0 input is the embedding
 
     def test_cache_tags_and_positions(self):
         decoder = Decoder(small_config())
@@ -152,11 +154,69 @@ class TestPrefill:
         assert peak_2k <= 2.2 * peak_1k
         assert peak_2k < 0.5 * config.heads * 2048 * 2048 * 8
 
+    def test_layer_hook_sees_each_layer_and_its_result_is_stored(self):
+        decoder = Decoder(small_config())
+        embedded = np.random.default_rng(5).standard_normal((7, 8))
+        spans = SegmentedSequence(system_len=2, visual_len=3, instruction_len=2)
+        plain = decoder.prefill(embedded, spans)
+        seen = []
+
+        def keep_first_row(states, layer):
+            seen.append((states.shape, len(layer)))
+            return KVCacheLayer(layer.keys[:1], layer.values[:1],
+                                layer.position_ids[:1], layer.segment_tags[:1])
+
+        hooked = decoder.prefill(embedded, spans, layer_hook=keep_first_row)
+        assert seen == [((7, 8), 7)] * 2
+        assert [len(layer) for layer in hooked.cache.layers] == [1, 1]
+        for got, full in zip(hooked.cache.layers, plain.cache.layers):
+            assert np.array_equal(got.keys, full.keys[:1])
+        # the hook changes what is stored, never the forward pass
+        assert np.array_equal(hooked.logits, plain.logits)
+        assert np.array_equal(hooked.final_hidden, plain.final_hidden)
+
     def test_max_positions_prompt_completes(self):
         # One dense (1, 8192, 8192) float64 temporary alone is 512 MiB.
         config = DecoderConfig(layers=1, heads=1, model_dim=16, mlp_dim=64)
         peak = traced_prefill_peak(Decoder(config), config.max_positions)
         assert peak < 64 * 2**20
+
+
+class TestBiasFloor:
+    def test_floor_binds_and_changes_no_bits(self, monkeypatch):
+        # Head 0's bias passes the floor beyond distance ~2800. Floored keys
+        # weigh under e^-700 of the diagonal, so prefill and a decode step
+        # give the same bits as the unfloored bias (floor -inf).
+        config = DecoderConfig(layers=1)
+        decoder = Decoder(config)
+        t = 3000
+        assert -decoder.slopes[0] * (t - 1) < sharpv.decoder._BIAS_FLOOR
+        embedded = np.random.default_rng(11).standard_normal((t, config.model_dim))
+        spans = SegmentedSequence(system_len=0, visual_len=t, instruction_len=0)
+
+        def run():
+            res = decoder.prefill(embedded, spans)
+            logits, hidden = decoder.decode_step(res.cache, decoder.embedding[7])
+            return res, logits, hidden
+
+        lowest = []
+        attend = decoder._attend
+
+        def spy(q, keys, values, bias):
+            lowest.append(bias[np.isfinite(bias)].min())
+            return attend(q, keys, values, bias)
+
+        monkeypatch.setattr(decoder, "_attend", spy)
+        floored, logits, hidden = run()
+        # every finite bias entry, in prefill and decode, stays above
+        # the -708 where np.exp turns slow
+        assert min(lowest) == sharpv.decoder._BIAS_FLOOR > -708
+        monkeypatch.setattr(sharpv.decoder, "_BIAS_FLOOR", -np.inf)
+        exact, exact_logits, exact_hidden = run()
+        assert np.array_equal(floored.logits, exact.logits)
+        assert np.array_equal(floored.final_hidden, exact.final_hidden)
+        assert np.array_equal(logits, exact_logits)
+        assert np.array_equal(hidden, exact_hidden)
 
 
 class TestQueryBlockEquivalence:
@@ -170,22 +230,22 @@ class TestQueryBlockEquivalence:
         decoder = Decoder(DecoderConfig(layers=3, seed=3))
         embedded = np.random.default_rng(t).standard_normal((t, 64))
         spans = SegmentedSequence(system_len=t // 3, visual_len=t - t // 3, instruction_len=0)
-        res = decoder.prefill(embedded, spans)
+        res, trace = traced_prefill(decoder, embedded, spans)
         want = dense_prefill(decoder, embedded)
 
         assert np.abs(res.final_hidden - want["final_hidden"]).max() <= 1e-12
         assert np.abs(res.logits - want["logits"]).max() <= 1e-12
-        assert np.array_equal(res.trace[0], want["trace"][0])
+        assert np.array_equal(trace[0], want["trace"][0])
         tags = spans.tags()
         for l, (lw, layer) in enumerate(zip(decoder.layers, res.cache.layers)):
             # fed the decoder's own layer input, the oracle projects the
             # same keys and values bit for bit
-            keys, values, out = dense_layer(decoder, lw, res.trace[l])
+            keys, values, out = dense_layer(decoder, lw, trace[l])
             assert np.array_equal(layer.keys, keys)
             assert np.array_equal(layer.values, values)
             assert np.array_equal(layer.position_ids, np.arange(t))
             assert np.array_equal(layer.segment_tags, tags)
-            nxt = res.trace[l + 1] if l + 1 < len(res.trace) else res.final_hidden
+            nxt = trace[l + 1] if l + 1 < len(trace) else res.final_hidden
             assert np.abs(nxt - out).max() <= 1e-12
 
 

@@ -5,11 +5,17 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sharpv.cache import Segment
+from prefill_trace import traced_prefill
+from sharpv.cache import Segment, SegmentedSequence
 from sharpv.decoder import Decoder, DecoderConfig
-from sharpv.memory import DegradationProfile, apply_discard, discard_decision, mask_discard, reencode_positions
-from sharpv.pipeline import PipelineConfig, PromptEmbeddings, baseline_generate, run_pipeline
-from sharpv.pruner import VideoTokens
+from sharpv.memory import (
+    DegradationProfile, apply_discard, degradation_profile, discard_decision, mask_discard,
+    reencode_positions,
+)
+from sharpv.pipeline import (
+    PipelineConfig, PromptEmbeddings, baseline_generate, prefill_with_eviction, run_pipeline,
+)
+from sharpv.pruner import PrunerConfig, VideoTokens, prune_video
 from sharpv.report import TIMING_FIELDS, RunReport, validate_report
 from sharpv.synth import SyntheticVideoSpec, gen_prompt_embeddings, gen_synthetic_video, parse_pattern
 from sharpv.errors import InvariantViolation
@@ -113,6 +119,80 @@ class TestDiscardInPipeline:
         row_bytes = total * decoder.config.model_dim * 8
         assert report.cache_bytes_before > report.cache_bytes_after + 4 * row_bytes
         assert live[0] - base < report.cache_bytes_after + 4 * row_bytes
+
+
+class TestStreamedEviction:
+    """prefill_with_eviction (stage 2 per layer, inside prefill) against the
+    two-pass route: record the whole trace, then profile, decide, evict
+    and re-encode the full cache."""
+
+    @staticmethod
+    def pruned_prompt(mode):
+        video, prompt = make_inputs(n=8, f=24)
+        pruned, _, _ = prune_video(video, PrunerConfig(mode=mode, manual_threshold=1.6))
+        embedded = np.vstack([prompt.system, pruned.tokens, prompt.instruction])
+        spans = SegmentedSequence(prompt.system.shape[0], pruned.tokens.shape[0],
+                                  prompt.instruction.shape[0])
+        return embedded, spans
+
+    @pytest.mark.parametrize("mode", ["adaptive", "manual"])
+    @pytest.mark.parametrize("m", [-1.0, 0.2, 1.0])
+    def test_bit_identical_to_two_pass_route(self, mode, m):
+        decoder = toy_decoder()
+        embedded, spans = self.pruned_prompt(mode)
+        streamed, profile, plan = prefill_with_eviction(decoder, embedded, spans, m)
+
+        full, trace = traced_prefill(decoder, embedded, spans)
+        want_profile = degradation_profile(trace, embedded, spans)
+        want_plan = discard_decision(want_profile, m)
+        want = apply_discard(full.cache, want_plan)
+        want.layers = [reencode_positions(layer) for layer in want.layers]
+
+        assert np.array_equal(profile.per_layer_sim, want_profile.per_layer_sim)
+        assert np.array_equal(plan.per_layer, want_plan.per_layer)
+        assert plan.threshold == want_plan.threshold
+        assert np.array_equal(streamed.logits, full.logits)
+        assert np.array_equal(streamed.final_hidden, full.final_hidden)
+        assert len(streamed.cache) == len(want)
+        for got, exp in zip(streamed.cache.layers, want.layers):
+            for field in ("keys", "values", "position_ids", "segment_tags"):
+                assert np.array_equal(getattr(got, field), getattr(exp, field))
+            assert got.active is None and exp.active is None
+        if m == 1.0:  # every layer but the first is discarded
+            assert plan.discarded_layers() == list(range(1, 8))
+
+    def test_empty_visual_span_raises_as_two_pass(self):
+        decoder = toy_decoder()
+        embedded, _ = self.pruned_prompt("adaptive")
+        spans = SegmentedSequence(system_len=4, visual_len=0, instruction_len=8)
+        embedded = np.vstack([embedded[:4], embedded[-8:]])
+        _, trace = traced_prefill(decoder, embedded, spans)
+        with pytest.raises(ValueError) as two_pass:
+            degradation_profile(trace, embedded, spans)
+        with pytest.raises(ValueError) as streamed:
+            prefill_with_eviction(decoder, embedded, spans, 0.2)
+        assert str(streamed.value) == str(two_pass.value)
+
+    def test_peak_memory_holds_no_trace_or_full_cache(self):
+        # Unit: L*T*d float64, the bytes of a hidden-state trace. A trace
+        # (1 unit) and a full prefill cache (2 units) alone reach 3 units;
+        # with stage 2 inside prefill, only one layer's keys/values are
+        # ever held whole, and the peak is about 2 units (set by pruning
+        # and prefill temporaries).
+        decoder = toy_decoder()
+        video, prompt = make_inputs(n=64, f=64)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            _, report = run_pipeline(
+                decoder, video, prompt, PipelineConfig(degradation_threshold=0.2, decode_steps=2)
+            )
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        total = sum(report.cache_layers_before[0].values())
+        assert 1000 <= total <= 1100
+        assert peak < 3 * decoder.config.layers * total * decoder.config.model_dim * 8
 
 
 class TestMaskingEquivalence:

@@ -32,8 +32,6 @@ from .memory import (
     apply_discard,
     degradation_profile,
     discard_decision,
-    mask_discard,
-    mr_metric,
     reencode_positions,
 )
 from .pipeline import PipelineConfig, PromptEmbeddings, baseline_generate, prefill_with_eviction, run_pipeline
@@ -64,7 +62,7 @@ from .synth import (
     pattern_to_string,
 )
 from .tensorio import read_video, write_video
-from .vecmath import cosine_sim, dissim, l2_normalize, mean_rows, paired_row_dissim, row_dissim, unit_rows
+from .vecmath import unit_rows
 
 __version__ = "0.1.0"
 
@@ -79,14 +77,11 @@ __all__ = [
     "ShapeMismatchError", "SharpVError", "Static", "SyntheticVideoSpec",
     "TensorFormatError", "TruncatedFileError", "UniformMotion", "VideoTokens",
     "apply_discard", "baseline_generate", "cache_bytes_linear",
-    "cache_bytes_table", "combined_importance", "cosine_sim",
-    "degradation_profile", "discard_decision", "dissim", "frame_thresholds",
-    "gen_prompt_embeddings", "gen_synthetic_video", "importance_maps", "init_decoder",
-    "l2_normalize", "mask_discard", "mean_rows", "mr_metric",
-    "paired_row_dissim", "parse_pattern", "pattern_to_string", "prefill_with_eviction",
-    "prune_video",
-    "read_video", "reencode_positions", "row_dissim", "run_bench",
-    "run_pipeline", "scoring_cost_scaling", "scoring_table", "select_topk",
-    "unit_rows",
-    "validate_report", "write_video",
+    "cache_bytes_table", "combined_importance", "degradation_profile",
+    "discard_decision", "frame_thresholds", "gen_prompt_embeddings",
+    "gen_synthetic_video", "importance_maps", "init_decoder", "parse_pattern",
+    "pattern_to_string", "prefill_with_eviction", "prune_video", "read_video",
+    "reencode_positions", "run_bench", "run_pipeline", "scoring_cost_scaling",
+    "scoring_table", "select_topk", "unit_rows", "validate_report",
+    "write_video",
 ]

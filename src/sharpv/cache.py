@@ -75,30 +75,22 @@ class SegmentedSequence:
 @dataclass
 class KVCacheLayer:
     """One decoder layer's cache: (seq, heads, head_dim) keys/values plus
-    per-entry position ids and segment tags.
-
-    ``active`` is an optional attendability mask used by verification
-    paths that mask entries instead of removing them; None means every
-    entry is attendable.
+    per-entry position ids and segment tags. Every entry is attendable;
+    eviction removes rows rather than masking them.
     """
 
     keys: np.ndarray
     values: np.ndarray
     position_ids: np.ndarray  # (seq,) int64
     segment_tags: np.ndarray  # (seq,) uint8
-    active: np.ndarray | None = None
 
     def __len__(self) -> int:
         return self.keys.shape[0]
 
-    def active_count(self) -> int:
-        if self.active is None:
-            return len(self)
-        return int(self.active.sum())
-
     def next_position(self) -> int:
-        """Position id a freshly appended entry should carry."""
-        return self.active_count()
+        """Position id a freshly appended entry should carry: the entry
+        count, which continues compacted ids 0..len-1."""
+        return len(self)
 
     def append(self, key: np.ndarray, value: np.ndarray, tag: Segment, position: int) -> None:
         self.keys = np.concatenate([self.keys, key[None]], axis=0)
@@ -109,8 +101,6 @@ class KVCacheLayer:
         self.segment_tags = np.concatenate(
             [self.segment_tags, np.array([int(tag)], dtype=np.uint8)]
         )
-        if self.active is not None:
-            self.active = np.concatenate([self.active, np.array([True])])
 
     def nbytes(self) -> int:
         """Key/value payload bytes (bookkeeping arrays excluded)."""
@@ -130,7 +120,7 @@ class KVCacheLayer:
             and self.segment_tags.shape == (seq,)
         ):
             raise ShapeMismatchError("cache layer arrays disagree on sequence length")
-        if self.active is None and seq > 1 and not (np.diff(self.position_ids) > 0).all():
+        if seq > 1 and not (np.diff(self.position_ids) > 0).all():
             raise ValueError("position ids must be strictly increasing")
 
 

@@ -11,9 +11,8 @@ distance between position ids (per-head slopes 2^(-8h/H)), never as
 embeddings added to the residual stream. That choice is what makes cache
 eviction cheap: removing rows and compacting position ids to 0..len-1 is
 a complete re-encoding, with no key re-projection. Attention is computed
-from cache contents alone, and entries flagged inactive (see
-``KVCacheLayer.active``) are excluded by masking, which gives a direct
-equivalence check between evicting entries and masking them.
+from cache contents alone: every cached entry is attendable, and an
+evicted entry is simply gone.
 
 Prefill never builds a (T, T) score array. Query block [i0, i1) of
 ``_QUERY_BLOCK`` rows attends only to its causal key prefix [0, i1), so
@@ -303,8 +302,8 @@ class Decoder:
         return (next-token logits, the token's final-layer hidden state).
 
         The cache is mutated in place. The new entry's position id is the
-        layer's count of attendable entries, which continues the compacted
-        coordinate system whether or not eviction happened.
+        layer's entry count, which continues the compacted coordinate
+        system whether or not eviction happened.
         """
         embedding = np.asarray(embedding, dtype=np.float64)
         if embedding.shape != (self.config.model_dim,):
@@ -326,8 +325,6 @@ class Decoder:
             layer.append(k[:, 0], v[:, 0], Segment.GENERATED, position=pos)
             bias = self.slopes[:, None, None] * (layer.position_ids - pos)  # (H, 1, S)
             np.maximum(bias, _BIAS_FLOOR, out=bias)
-            if layer.active is not None:
-                bias = np.where(layer.active, bias, _MASKED)
             keys = layer.keys.transpose(1, 0, 2)  # (H, S, hd)
             values = layer.values.transpose(1, 0, 2)
             x = self._residual_mlp(lw, x, self._attend(q, keys, values, bias))

@@ -127,7 +127,6 @@ def apply_discard(cache: LayeredKVCache, plan: DiscardPlan) -> LayeredKVCache:
                 values=_rows(layer.values, keep),
                 position_ids=_rows(layer.position_ids, keep),
                 segment_tags=_rows(layer.segment_tags, keep),
-                active=_rows(layer.active, keep) if layer.active is not None else None,
             )
         )
     return LayeredKVCache(layers=layers)
@@ -137,38 +136,6 @@ def _rows(arr: np.ndarray, keep: np.ndarray | None) -> np.ndarray:
     # The rows at index array ``keep``, or a view of all rows for None;
     # take() costs less per call than fancy indexing.
     return arr[:] if keep is None else arr.take(keep, axis=0)
-
-
-def mask_discard(cache: LayeredKVCache, plan: DiscardPlan) -> LayeredKVCache:
-    """Masking twin of apply_discard: flag visual entries inactive instead
-    of removing them.
-
-    Active entries get the same compacted position ids the removal route
-    would produce, so attention over a masked cache must equal attention
-    over the evicted-and-re-encoded one. Exists so that equivalence is
-    checkable; production paths use apply_discard.
-    """
-    if len(plan.per_layer) != len(cache):
-        raise ShapeMismatchError(
-            f"plan covers {len(plan.per_layer)} layers but cache has {len(cache)}"
-        )
-    layers = []
-    for discard, layer in zip(plan.per_layer, cache.layers):
-        base = layer.active if layer.active is not None else np.ones(len(layer), dtype=bool)
-        active = base & (layer.segment_tags != _VISUAL) if discard else base
-        # Rank among active entries; inactive rows inherit a stale id that
-        # attention never reads (their scores are masked to -inf).
-        positions = np.maximum(np.cumsum(active) - 1, 0).astype(np.int64)
-        layers.append(
-            KVCacheLayer(
-                keys=layer.keys,
-                values=layer.values,
-                position_ids=positions,
-                segment_tags=layer.segment_tags,
-                active=active,
-            )
-        )
-    return LayeredKVCache(layers=layers)
 
 
 def reencode_positions(layer: KVCacheLayer) -> KVCacheLayer:
@@ -183,17 +150,4 @@ def reencode_positions(layer: KVCacheLayer) -> KVCacheLayer:
         values=layer.values,
         position_ids=np.arange(len(layer), dtype=np.int64),
         segment_tags=layer.segment_tags,
-        active=layer.active,
     )
-
-
-def mr_metric(before: LayeredKVCache, after: LayeredKVCache) -> float:
-    """Fraction of cache entries retained across all layers, in (0, 1]."""
-    if len(before) != len(after):
-        raise ShapeMismatchError(
-            f"layer count mismatch: {len(before)} before vs {len(after)} after"
-        )
-    total = before.total_entries()
-    if total == 0:
-        raise ValueError("before-cache is empty")
-    return after.total_entries() / total

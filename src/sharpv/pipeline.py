@@ -70,6 +70,10 @@ class PipelineConfig:
             raise ConfigError(f"unknown pruning mode {self.mode!r}")
         if self.decode_steps < 1:
             raise ConfigError(f"decode_steps must be >= 1, got {self.decode_steps}")
+        if not np.isfinite(self.degradation_threshold):
+            raise ConfigError(
+                f"degradation_threshold must be finite, got {self.degradation_threshold}"
+            )
 
     def pruner_config(self) -> PrunerConfig:
         return PrunerConfig(

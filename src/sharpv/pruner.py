@@ -108,6 +108,11 @@ class PrunerConfig:
     manual_threshold: float = 1.6
 
     def __post_init__(self):
+        if not np.isfinite([self.spatial_weight, self.manual_threshold]).all():
+            raise ConfigError(
+                "spatial_weight and manual_threshold must be finite, got "
+                f"{self.spatial_weight} and {self.manual_threshold}"
+            )
         if self.spatial_weight < 0:
             raise ConfigError(f"spatial_weight must be >= 0, got {self.spatial_weight}")
         if self.mode not in (MODE_ADAPTIVE, MODE_MANUAL):

@@ -1,55 +1,25 @@
-"""Dense vector primitives used by every scoring stage.
+"""Row normalization shared by the scoring stages.
 
-The central metric is the unit-chord dissimilarity: the Euclidean distance
-between L2-normalized vectors, sqrt(2 - 2*cos(angle)). It lives in [0, 2]
-and, unlike (1 - cosine), keeps resolution between nearly-aligned vectors
-in high-dimensional spaces. It is computed via normalize-subtract-norm
-rather than sqrt(2 - 2*cos) so rounding can never produce a negative
-argument; the identity between the two forms is checked in tests instead.
+Both pruning scores (``pruner.importance_maps``) are unit-chord
+dissimilarities: the Euclidean distance between L2-normalized vectors,
+sqrt(2 - 2*cos(angle)). It lives in [0, 2] and, unlike (1 - cosine),
+keeps resolution between nearly-aligned vectors in high-dimensional
+spaces. The pruner computes it as normalize-subtract-norm over
+``unit_rows`` rather than as sqrt(2 - 2*cos), so rounding can never
+produce a negative argument; the identity between the two forms is
+checked in tests instead.
 
-All reductions run in float64. Vectors with norm below ``NORM_EPS``
-normalize to the zero vector, which keeps scoring total for padded or
-black frames: dissim(0, unit) = 1, dissim(0, 0) = 0, cosine with a zero
-vector is 0.
+Vectors with norm below ``NORM_EPS`` normalize to the zero vector, which
+keeps scoring total for padded or black frames: a zero vector scores 1
+against any unit direction and 0 against another zero vector.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import ShapeMismatchError
-
 # Norms below this are treated as zero.
 NORM_EPS = 1e-12
-
-
-def as_vector(x) -> np.ndarray:
-    """Coerce to a finite 1-D float64 array; reject NaN/Inf and empty input."""
-    v = np.asarray(x, dtype=np.float64)
-    if v.ndim != 1 or v.size == 0:
-        raise ValueError(f"expected a non-empty 1-D vector, got shape {v.shape}")
-    if not np.isfinite(v).all():
-        raise ValueError("vector contains NaN or Inf")
-    return v
-
-
-def as_matrix(x) -> np.ndarray:
-    """Coerce to a finite 2-D float64 array with at least one row."""
-    m = np.asarray(x, dtype=np.float64)
-    if m.ndim != 2 or m.shape[0] == 0 or m.shape[1] == 0:
-        raise ValueError(f"expected a non-empty 2-D matrix, got shape {m.shape}")
-    if not np.isfinite(m).all():
-        raise ValueError("matrix contains NaN or Inf")
-    return m
-
-
-def l2_normalize(v) -> np.ndarray:
-    """Return v / ||v||, or the zero vector when ||v|| < NORM_EPS."""
-    v = as_vector(v)
-    norm = float(np.linalg.norm(v))
-    if norm < NORM_EPS:
-        return np.zeros_like(v)
-    return v / norm
 
 
 def unit_rows(m: np.ndarray) -> np.ndarray:
@@ -61,51 +31,3 @@ def unit_rows(m: np.ndarray) -> np.ndarray:
     safe = np.where(norms < NORM_EPS, 1.0, norms)
     out = m / safe
     return np.where(norms < NORM_EPS, 0.0, out)
-
-
-def dissim(a, b) -> float:
-    """Unit-chord dissimilarity between two vectors, clamped to [0, 2]."""
-    a = as_vector(a)
-    b = as_vector(b)
-    if a.shape != b.shape:
-        raise ShapeMismatchError(f"dimension mismatch: {a.shape[0]} vs {b.shape[0]}")
-    d = float(np.linalg.norm(l2_normalize(a) - l2_normalize(b)))
-    return min(max(d, 0.0), 2.0)
-
-
-def cosine_sim(a, b) -> float:
-    """Cosine of the angle between a and b, in [-1, 1]; 0 if either has ~zero norm."""
-    a = as_vector(a)
-    b = as_vector(b)
-    if a.shape != b.shape:
-        raise ShapeMismatchError(f"dimension mismatch: {a.shape[0]} vs {b.shape[0]}")
-    c = float(np.dot(l2_normalize(a), l2_normalize(b)))
-    return min(max(c, -1.0), 1.0)
-
-
-def row_dissim(m, ref) -> np.ndarray:
-    """Dissimilarity of every row of m against the single reference vector."""
-    m = as_matrix(m)
-    ref = as_vector(ref)
-    if m.shape[1] != ref.shape[0]:
-        raise ShapeMismatchError(
-            f"matrix has {m.shape[1]} columns but reference has {ref.shape[0]} dims"
-        )
-    diff = unit_rows(m) - l2_normalize(ref)[None, :]
-    return np.clip(np.linalg.norm(diff, axis=1), 0.0, 2.0)
-
-
-def paired_row_dissim(a, b) -> np.ndarray:
-    """Element i is the dissimilarity between row i of a and row i of b."""
-    a = as_matrix(a)
-    b = as_matrix(b)
-    if a.shape != b.shape:
-        raise ShapeMismatchError(f"shape mismatch: {a.shape} vs {b.shape}")
-    diff = unit_rows(a) - unit_rows(b)
-    return np.clip(np.linalg.norm(diff, axis=1), 0.0, 2.0)
-
-
-def mean_rows(m) -> np.ndarray:
-    """Arithmetic mean over rows."""
-    m = as_matrix(m)
-    return m.mean(axis=0)

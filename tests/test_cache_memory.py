@@ -13,8 +13,6 @@ from sharpv.memory import (
     apply_discard,
     degradation_profile,
     discard_decision,
-    mask_discard,
-    mr_metric,
     reencode_positions,
 )
 
@@ -80,11 +78,21 @@ class TestKVCacheLayer:
         assert layer.segment_tags[-1] == Segment.GENERATED
         layer.validate()
 
-    def test_next_position_counts_active(self):
+    def test_next_position_counts_entries(self):
         layer = make_layer(5, visual=(1, 4))
         assert layer.next_position() == 5
-        layer.active = np.array([True, False, False, True, True])
-        assert layer.next_position() == 3
+        plan = discard_decision(DegradationProfile(per_layer_sim=np.zeros(1)), 1.0)
+        evicted = reencode_positions(apply_discard(LayeredKVCache([layer]), plan).layers[0])
+        assert evicted.next_position() == 2
+
+    def test_validate_catches_non_increasing_positions(self):
+        layer = make_layer(4)
+        layer.position_ids = np.array([0, 1, 1, 2], dtype=np.int64)
+        with pytest.raises(ValueError, match="strictly increasing"):
+            layer.validate()
+        layer.position_ids = np.array([0, 2, 1, 3], dtype=np.int64)
+        with pytest.raises(ValueError, match="strictly increasing"):
+            layer.validate()
 
     def test_validate_catches_length_mismatch(self):
         layer = make_layer(4)
@@ -308,40 +316,43 @@ class TestReencode:
             assert np.array_equal(once.position_ids, twice.position_ids)
 
 
+def retained(before, after):
+    """MR as the pipeline reports it: cache entries kept over entries held."""
+    return after.total_entries() / before.total_entries()
+
+
 class TestMrMetric:
     def test_no_discard_is_one(self):
         cache = make_cache(3)
-        assert mr_metric(cache, cache) == 1.0
+        assert retained(cache, cache) == 1.0
 
     def test_sixty_percent_visual_all_discarded(self):
         # 12 of 20 entries are visual; discarding them all leaves 8/20 = 0.4
         cache = make_cache(5, seq_len=20, visual=(4, 16))
         plan = discard_decision(DegradationProfile(per_layer_sim=np.zeros(5)), 1.0)
         after = apply_discard(cache, plan)
-        assert mr_metric(cache, after) == 0.4
+        assert retained(cache, after) == 0.4
 
     def test_mixed_plan_hand_count(self):
         cache = make_cache(4, seq_len=10, visual=(2, 6))
         prof = DegradationProfile(per_layer_sim=np.array([0.5, 0.1, 0.5, 0.1]))
         after = apply_discard(cache, discard_decision(prof, 0.2))
-        assert mr_metric(cache, after) == (10 + 6 + 10 + 6) / 40
-
-    def test_layer_count_mismatch(self):
-        with pytest.raises(ShapeMismatchError):
-            mr_metric(make_cache(2), make_cache(3))
+        assert retained(cache, after) == (10 + 6 + 10 + 6) / 40
 
 
 class TestMaskDiscard:
     def test_masked_positions_match_removal(self):
+        # removal plus re-encoding leaves exactly the rows a visual mask
+        # keeps, each at its rank among the kept rows
         cache = make_cache(3, seq_len=10, visual=(2, 6))
         prof = DegradationProfile(per_layer_sim=np.array([0.1, 0.9, 0.1]))
         plan = discard_decision(prof, 0.2)
         removed = apply_discard(cache, plan)
         removed.layers = [reencode_positions(l) for l in removed.layers]
-        masked = mask_discard(cache, plan)
-        for rem, msk in zip(removed.layers, masked.layers):
-            keep = msk.active
-            assert np.array_equal(msk.position_ids[keep], rem.position_ids)
-            assert np.array_equal(msk.keys[keep], rem.keys)
-            assert msk.active_count() == len(rem)
-            assert msk.next_position() == rem.next_position()
+        for discard, src, rem in zip(plan.per_layer, cache.layers, removed.layers):
+            keep = ~((src.segment_tags == Segment.VISUAL) & discard)
+            ranks = np.cumsum(keep) - 1
+            assert np.array_equal(ranks[keep], rem.position_ids)
+            assert np.array_equal(src.keys[keep], rem.keys)
+            assert int(keep.sum()) == len(rem)
+            assert rem.next_position() == int(keep.sum())

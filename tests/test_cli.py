@@ -2,6 +2,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 import sharpv.cli as cli
 from sharpv.errors import InvariantViolation
 from sharpv.tensorio import read_video
@@ -115,6 +117,17 @@ class TestExitCodes:
             "--out", str(tmp_path / "missing_dir" / "report.json"),
         )
         assert code == 3
+
+    @pytest.mark.parametrize("flags", [
+        ("--m", "nan"), ("--m", "inf"), ("--w", "nan"), ("--w", "inf"),
+        ("--k", "nan"), ("--mode", "manual", "--k", "inf"),
+    ])
+    def test_non_finite_setting_is_config_error(self, capsys, tmp_path, flags):
+        out = tmp_path / "report.json"
+        code, _, err = run_cli(capsys, "run", "--decode-steps", "2", *flags, "--out", str(out))
+        assert code == 2
+        assert "config error" in err
+        assert not out.exists()
 
 
 class TestConfigFile:

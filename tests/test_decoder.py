@@ -14,7 +14,7 @@ from sharpv.decoder import (
     init_decoder,
 )
 from sharpv.errors import ConfigError, PositionOverflowError, ShapeMismatchError
-from sharpv.memory import DiscardPlan, mask_discard
+from sharpv.memory import DiscardPlan, apply_discard, reencode_positions
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -290,14 +290,18 @@ class TestNoAliasing:
         assert not bias.flags.writeable
         assert np.array_equal(decoder._attend(q, keys, values, bias), want)
 
-    @pytest.mark.parametrize("masked", [False, True])
-    def test_decode_step_leaves_cached_entries_unchanged(self, masked):
+    @pytest.mark.parametrize("evicted", [False, True])
+    def test_decode_step_leaves_cached_entries_unchanged(self, evicted):
         decoder = Decoder(DecoderConfig(layers=3, seed=2))
         embedded = np.random.default_rng(9).standard_normal((50, 64))
         spans = SegmentedSequence(system_len=4, visual_len=40, instruction_len=6)
         cache = decoder.prefill(embedded, spans).cache
-        if masked:  # the masked twin shares key/value arrays with its source
-            cache = mask_discard(cache, DiscardPlan(np.array([False, True, True]), 0.2))
+        if evicted:  # layer 0 keeps views of the source arrays, 1-2 get take() copies
+            source = cache
+            cache = apply_discard(source, DiscardPlan(np.array([False, True, True]), 0.2))
+            cache.layers = [reencode_positions(layer) for layer in cache.layers]
+            shared = [np.shares_memory(a.keys, b.keys) for a, b in zip(cache.layers, source.layers)]
+            assert shared == [True, False, False]
         fields = ("keys", "values", "position_ids", "segment_tags")
         held = [[getattr(layer, f) for f in fields] for layer in cache.layers]
         before = [[a.copy() for a in arrays] for arrays in held]

@@ -9,8 +9,7 @@ from prefill_trace import traced_prefill
 from sharpv.cache import Segment, SegmentedSequence
 from sharpv.decoder import Decoder, DecoderConfig
 from sharpv.memory import (
-    DegradationProfile, apply_discard, degradation_profile, discard_decision, mask_discard,
-    reencode_positions,
+    apply_discard, degradation_profile, discard_decision, reencode_positions,
 )
 from sharpv.pipeline import (
     PipelineConfig, PromptEmbeddings, baseline_generate, prefill_with_eviction, run_pipeline,
@@ -19,6 +18,7 @@ from sharpv.pruner import PrunerConfig, VideoTokens, prune_video
 from sharpv.report import TIMING_FIELDS, RunReport, validate_report
 from sharpv.synth import SyntheticVideoSpec, gen_prompt_embeddings, gen_synthetic_video, parse_pattern
 from sharpv.errors import InvariantViolation
+from reference_decoder import dense_masked_decode
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -157,7 +157,6 @@ class TestStreamedEviction:
         for got, exp in zip(streamed.cache.layers, want.layers):
             for field in ("keys", "values", "position_ids", "segment_tags"):
                 assert np.array_equal(getattr(got, field), getattr(exp, field))
-            assert got.active is None and exp.active is None
         if m == 1.0:  # every layer but the first is discarded
             assert plan.discarded_layers() == list(range(1, 8))
 
@@ -197,29 +196,28 @@ class TestStreamedEviction:
 
 class TestMaskingEquivalence:
     def test_removal_equals_masking_on_random_plans(self):
+        # run_pipeline's route (stage 2 inside prefill, then greedy decode
+        # over the evicted cache) against a dense pass that masks each
+        # discarded layer's visual keys instead, with that run's plan
         decoder = toy_decoder(layers=4, model_dim=32, heads=4, mlp_dim=64, vocab=32)
         video, prompt = make_inputs(n=3, f=6, d=32)
         embedded = np.vstack([prompt.system, video.data, prompt.instruction])
-        from sharpv.cache import SegmentedSequence
         spans = SegmentedSequence(
             system_len=4, visual_len=video.data.shape[0], instruction_len=8
         )
-        rng = np.random.default_rng(0)
-        for _ in range(5):
-            prefill = decoder.prefill(embedded, spans)
-            plan = discard_decision(
-                DegradationProfile(per_layer_sim=rng.uniform(-1, 1, size=4)), 0.0
-            )
-            removed = apply_discard(prefill.cache, plan)
-            removed.layers = [reencode_positions(l) for l in removed.layers]
-            masked = mask_discard(decoder.prefill(embedded, spans).cache, plan)
-
-            tok = 1
+        plans = []
+        for m in (0.0, 0.2, 1.0):
+            prefill, _, plan = prefill_with_eviction(decoder, embedded, spans, m)
+            plans.append(plan.discarded_layers())
+            fed = [int(np.argmax(prefill.logits))]
+            got = []
             for _ in range(3):
-                logits_r, _ = decoder.decode_step(removed, decoder.embedding[tok])
-                logits_m, _ = decoder.decode_step(masked, decoder.embedding[tok])
-                assert logits_r == pytest.approx(logits_m, abs=1e-5)
-                tok = int(np.argmax(logits_r))
+                logits, _ = decoder.decode_step(prefill.cache, decoder.embedding[fed[-1]])
+                got.append(logits)
+                fed.append(int(np.argmax(logits)))
+            want = dense_masked_decode(decoder, embedded, spans.visual_span, plan.per_layer, fed[:-1])
+            assert np.array(got) == pytest.approx(want, abs=1e-5)
+        assert plans[0] == [] and plans[-1] == [1, 2, 3]  # none at m=0, all but layer 0 at m=1
 
 
 class TestReportContract:

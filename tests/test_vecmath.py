@@ -1,3 +1,14 @@
+"""Properties of the package's vector metrics, read through the functions
+that run them.
+
+The unit-chord dissimilarity is the pruner's pair score: the temporal
+map of a two-frame, one-token video scores b after a. Row scores against
+one reference are the temporal map after a frame that tiles the
+reference; paired row scores are the temporal map between two frames;
+scores against the frame mean are the spatial map. The cosine is the
+degradation profile's row cosine.
+"""
+
 import math
 
 import numpy as np
@@ -6,17 +17,11 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from sharpv.cache import SegmentedSequence
 from sharpv.errors import ShapeMismatchError
-from sharpv.vecmath import (
-    NORM_EPS,
-    cosine_sim,
-    dissim,
-    l2_normalize,
-    mean_rows,
-    paired_row_dissim,
-    row_dissim,
-    unit_rows,
-)
+from sharpv.memory import _row_cosines, degradation_profile
+from sharpv.pruner import VideoTokens, importance_maps
+from sharpv.vecmath import NORM_EPS, unit_rows
 
 import reference_pruner as ref
 
@@ -25,6 +30,32 @@ finite = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinit
 
 def vec_strategy(dim):
     return arrays(np.float64, (dim,), elements=finite)
+
+
+def temporal_after(first, second):
+    """Temporal scores of the (f, d) frame ``second`` after ``first``."""
+    f, d = second.shape
+    return importance_maps(VideoTokens(2, f, d, np.vstack([first, second])))[1][1]
+
+
+def dissim(a, b):
+    a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
+    return float(temporal_after(a[None, :], b[None, :])[0])
+
+
+def row_dissim(m, ref_vec):
+    return temporal_after(np.tile(ref_vec, (m.shape[0], 1)), m)
+
+
+def mean_scores(frame):
+    """Spatial scores: each token of one (f, d) frame against the frame mean."""
+    f, d = frame.shape
+    return importance_maps(VideoTokens(1, f, d, frame))[0][0]
+
+
+def cosine(a, b):
+    return float(_row_cosines(np.asarray(a, dtype=np.float64)[None, :],
+                              np.asarray(b, dtype=np.float64)[None, :])[0])
 
 
 class TestDissim:
@@ -44,10 +75,6 @@ class TestDissim:
 
     def test_zero_vs_zero_is_zero(self):
         assert dissim([0.0, 0.0], [0.0, 0.0]) == 0.0
-
-    def test_dimension_mismatch_raises(self):
-        with pytest.raises(ShapeMismatchError):
-            dissim([1.0, 2.0], [1.0, 2.0, 3.0])
 
     @given(vec_strategy(6), vec_strategy(6))
     def test_range_and_symmetry(self, a, b):
@@ -73,10 +100,10 @@ class TestDissim:
     @given(vec_strategy(8), vec_strategy(8))
     def test_chord_cosine_identity(self, a, b):
         # the two equivalent formulations of the distance must agree
-        d = dissim(a, b)
-        c = cosine_sim(a, b)
-        if np.linalg.norm(a) < 1e-12 or np.linalg.norm(b) < 1e-12:
+        if np.linalg.norm(a) < NORM_EPS or np.linalg.norm(b) < NORM_EPS:
             return  # zero rule decouples the two forms by design
+        d = dissim(a, b)
+        c = float(np.dot(a / np.linalg.norm(a), b / np.linalg.norm(b)))
         assert d * d == pytest.approx(2.0 - 2.0 * c, abs=1e-9)
 
     @given(vec_strategy(5), vec_strategy(5))
@@ -87,30 +114,31 @@ class TestDissim:
 class TestCosine:
     def test_scale_invariance(self):
         v = np.array([1.0, 2.0, 3.0])
-        assert cosine_sim(v, 2 * v) == pytest.approx(1.0, abs=1e-12)
+        assert cosine(v, 2 * v) == pytest.approx(1.0, abs=1e-12)
 
     def test_orthogonal(self):
-        assert cosine_sim([1.0, 0.0], [0.0, 1.0]) == pytest.approx(0.0, abs=1e-12)
+        assert cosine([1.0, 0.0], [0.0, 1.0]) == pytest.approx(0.0, abs=1e-12)
 
     def test_zero_rule(self):
-        assert cosine_sim([0.0, 0.0], [1.0, 1.0]) == 0.0
+        assert cosine([0.0, 0.0], [1.0, 1.0]) == 0.0
 
     def test_dimension_mismatch_raises(self):
+        spans = SegmentedSequence(system_len=0, visual_len=2, instruction_len=0)
         with pytest.raises(ShapeMismatchError):
-            cosine_sim([1.0], [1.0, 2.0])
+            degradation_profile([np.ones((2, 1))], np.ones((2, 2)), spans)
 
     @given(vec_strategy(7), vec_strategy(7))
     def test_bounded(self, a, b):
-        assert -1.0 <= cosine_sim(a, b) <= 1.0
+        assert -1.0 <= cosine(a, b) <= 1.0
 
 
 class TestNormalize:
     def test_unit_norm(self):
-        v = l2_normalize(np.array([3.0, 4.0]))
+        v = unit_rows(np.array([3.0, 4.0]))
         assert np.allclose(v, [0.6, 0.8])
 
     def test_zero_stays_zero(self):
-        assert np.array_equal(l2_normalize(np.zeros(3)), np.zeros(3))
+        assert np.array_equal(unit_rows(np.zeros(3)), np.zeros(3))
 
     def test_unit_rows_mixed(self):
         m = np.array([[3.0, 4.0], [0.0, 0.0], [0.0, 2.0]])
@@ -142,11 +170,11 @@ class TestRowOps:
 
     def test_paired_identical_is_zero(self):
         a = np.random.default_rng(1).standard_normal((5, 3))
-        assert np.allclose(paired_row_dissim(a, a), 0.0, atol=1e-9)
+        assert np.allclose(temporal_after(a, a), 0.0, atol=1e-9)
 
     def test_paired_antipodal_is_two(self):
         a = np.tile([1.0, 0.0, 0.0], (4, 1))
-        assert paired_row_dissim(a, -a) == pytest.approx([2.0] * 4, abs=1e-12)
+        assert temporal_after(a, -a) == pytest.approx([2.0] * 4, abs=1e-12)
 
     def test_paired_matches_scalar_loop(self):
         rng = np.random.default_rng(2)
@@ -155,30 +183,30 @@ class TestRowOps:
             dim = int(rng.integers(1, 65))
             a = rng.standard_normal((rows, dim))
             b = rng.standard_normal((rows, dim))
-            got = paired_row_dissim(a, b)
+            got = temporal_after(a, b)
             want = [ref.dissim(list(x), list(y)) for x, y in zip(a, b)]
             assert got == pytest.approx(want, abs=1e-9)
-
-    def test_paired_shape_mismatch_raises(self):
-        with pytest.raises(ShapeMismatchError):
-            paired_row_dissim(np.zeros((2, 3)), np.zeros((3, 3)))
 
 
 class TestMeanRows:
     def test_single_row(self):
+        # a one-token frame is its own mean
         row = np.array([1.0, -2.0, 3.0])
-        assert np.array_equal(mean_rows(row[None, :]), row)
+        assert np.array_equal(mean_scores(row[None, :]), [0.0])
 
     def test_two_unit_rows(self):
         m = np.array([[1.0, 0.0], [0.0, 1.0]])
-        assert np.allclose(mean_rows(m), [0.5, 0.5])
+        want = ref.dissim([1.0, 0.0], [0.5, 0.5])
+        assert mean_scores(m) == pytest.approx([want, want], abs=1e-12)
 
     def test_matches_two_pass_oracle(self):
         rng = np.random.default_rng(3)
         m = rng.standard_normal((16, 8))
-        want = [sum(m[i][j] for i in range(16)) / 16 for j in range(8)]
-        assert mean_rows(m) == pytest.approx(want, abs=1e-12)
+        mean = [sum(m[i][j] for i in range(16)) / 16 for j in range(8)]
+        want = [ref.dissim(list(row), mean) for row in m]
+        assert mean_scores(m) == pytest.approx(want, abs=1e-12)
 
     def test_empty_raises(self):
+        # a frame with no tokens has no mean; the video is rejected
         with pytest.raises(ValueError):
-            mean_rows(np.zeros((0, 3)))
+            VideoTokens(1, 0, 3, np.zeros((0, 3)))

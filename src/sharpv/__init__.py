@@ -26,14 +26,7 @@ from .errors import (
     TensorFormatError,
     TruncatedFileError,
 )
-from .memory import (
-    DegradationProfile,
-    DiscardPlan,
-    apply_discard,
-    degradation_profile,
-    discard_decision,
-    reencode_positions,
-)
+from .memory import apply_discard, degradation_profile, discard_decision, reencode_positions
 from .pipeline import PipelineConfig, PromptEmbeddings, baseline_generate, prefill_with_eviction, run_pipeline
 from .pruner import (
     MODE_ADAPTIVE,
@@ -68,19 +61,19 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BadMagicError", "Burst", "ConfigError", "Decoder", "DecoderConfig",
-    "DegradationProfile", "DimensionError", "DiscardPlan", "EXIT_CONFIG",
-    "EXIT_INVARIANT", "EXIT_IO", "EXIT_OK", "ImportanceMap",
-    "InvariantViolation", "KVCacheLayer", "LayeredKVCache", "MODE_ADAPTIVE",
-    "MODE_MANUAL", "Mixed", "PipelineConfig", "PositionOverflowError",
-    "PrefillResult", "PromptEmbeddings", "PrunedVideo", "PrunerConfig",
-    "RetentionPlan", "RunReport", "Segment", "SegmentedSequence",
-    "ShapeMismatchError", "SharpVError", "Static", "SyntheticVideoSpec",
-    "TensorFormatError", "TruncatedFileError", "UniformMotion", "VideoTokens",
-    "apply_discard", "baseline_generate", "cache_bytes_linear",
-    "cache_bytes_table", "combined_importance", "degradation_profile",
-    "discard_decision", "frame_thresholds", "gen_prompt_embeddings",
-    "gen_synthetic_video", "importance_maps", "init_decoder", "parse_pattern",
-    "pattern_to_string", "prefill_with_eviction", "prune_video", "read_video",
+    "DimensionError", "EXIT_CONFIG", "EXIT_INVARIANT", "EXIT_IO", "EXIT_OK",
+    "ImportanceMap", "InvariantViolation", "KVCacheLayer", "LayeredKVCache",
+    "MODE_ADAPTIVE", "MODE_MANUAL", "Mixed", "PipelineConfig",
+    "PositionOverflowError", "PrefillResult", "PromptEmbeddings",
+    "PrunedVideo", "PrunerConfig", "RetentionPlan", "RunReport", "Segment",
+    "SegmentedSequence", "ShapeMismatchError", "SharpVError", "Static",
+    "SyntheticVideoSpec", "TensorFormatError", "TruncatedFileError",
+    "UniformMotion", "VideoTokens", "apply_discard", "baseline_generate",
+    "cache_bytes_linear", "cache_bytes_table", "combined_importance",
+    "degradation_profile", "discard_decision", "frame_thresholds",
+    "gen_prompt_embeddings", "gen_synthetic_video", "importance_maps",
+    "init_decoder", "parse_pattern", "pattern_to_string",
+    "prefill_with_eviction", "prune_video", "read_video",
     "reencode_positions", "run_bench", "run_pipeline", "scoring_cost_scaling",
     "scoring_table", "select_topk", "unit_rows", "validate_report",
     "write_video",

@@ -3,7 +3,7 @@
 The prompt fed to the decoder is three contiguous blocks in fixed order:
 system, visual, instruction. Entries appended during generation are
 tagged ``generated``. Cache layers are stored sequence-major so rows can
-be removed with a single boolean slice.
+be removed with one ``take`` of an index array along the first axis.
 """
 
 from __future__ import annotations

@@ -45,7 +45,7 @@ from .synth import (
     gen_synthetic_video,
     parse_pattern,
 )
-from .tensorio import read_video, write_video
+from .tensorio import MAX_ELEMENTS, read_video, write_video
 
 
 @dataclass(frozen=True)
@@ -176,6 +176,12 @@ def cmd_bench(args: argparse.Namespace) -> int:
         raise ConfigError(f"--scales must be comma-separated integers: {exc}") from exc
     if args.repeats < 1:
         raise ConfigError(f"--repeats must be >= 1, got {args.repeats}")
+    # the largest scale's scoring input is allocated whole
+    if cfg.n * cfg.f * max(scales) * cfg.d > MAX_ELEMENTS:
+        raise ConfigError(
+            f"n*f*max(scales)*d = {cfg.n * cfg.f * max(scales) * cfg.d} exceeds "
+            f"the element budget of {MAX_ELEMENTS}"
+        )
     table = bench_mod.run_bench(
         cfg.n, cfg.f, cfg.d, scales=scales, repeats=args.repeats, seed=cfg.seed
     )

@@ -27,14 +27,7 @@ import numpy as np
 from .cache import KVCacheLayer, LayeredKVCache, SegmentedSequence
 from .decoder import Decoder, PrefillResult
 from .errors import ConfigError, ShapeMismatchError
-from .memory import (
-    DegradationProfile,
-    DiscardPlan,
-    apply_discard,
-    degradation_profile,
-    discard_decision,
-    reencode_positions,
-)
+from .memory import apply_discard, degradation_profile, discard_decision, reencode_positions
 from .pruner import MODE_ADAPTIVE, MODE_MANUAL, PrunerConfig, VideoTokens, prune_video
 from .report import RunReport, validate_report
 
@@ -105,7 +98,7 @@ def run_pipeline(
     pruned, importance, plan = prune_video(video, config.pruner_config())
 
     embedded, spans = _assemble(prompt, pruned.tokens)
-    prefill, profile, discard = prefill_with_eviction(
+    prefill, sims, discarded = prefill_with_eviction(
         decoder, embedded, spans, config.degradation_threshold
     )
     first_token = int(np.argmax(prefill.logits))
@@ -133,8 +126,8 @@ def run_pipeline(
         token_budget=pruned.vr * mr,
         per_frame_thresholds=[float(t) for t in plan.thresholds],
         per_frame_keep_counts=[int(k) for k in plan.keep_counts],
-        per_layer_sim=[float(s) for s in profile.per_layer_sim],
-        discarded_layers=discard.discarded_layers(),
+        per_layer_sim=sims,
+        discarded_layers=discarded,
         generated_tokens=generated,
         ttft_seconds=t_first - t_start,
         tpot_seconds=tpot,
@@ -150,30 +143,28 @@ def run_pipeline(
 
 def prefill_with_eviction(
     decoder: Decoder, embedded: np.ndarray, spans: SegmentedSequence, threshold: float
-) -> tuple[PrefillResult, DegradationProfile, DiscardPlan]:
+) -> tuple[PrefillResult, list[float], list[int]]:
     """Prefill with stage 2 run on each layer as the decoder builds it.
 
-    The layer's input states give its degradation score
-    (``degradation_profile`` over that one layer) and its discard decision;
-    a discarded layer goes through ``apply_discard`` and
-    ``reencode_positions`` before the cache stores it. The result's cache
-    is the evicted one, and the profile and plan cover every layer: the
-    same as profiling a full prefill's trace and then evicting its cache.
+    Returns the prefill result, whose cache is the evicted one, every
+    layer's degradation score, and the discarded layers in order. Each
+    layer's input states give its score (``degradation_profile``) and its
+    ``discard_decision``; a discarded layer goes through ``apply_discard``
+    and ``reencode_positions`` before the cache stores it. Layer 0 scores
+    exactly 1 (its input is the prompt itself), so it is never discarded.
     """
-    sims = []
+    sims, discarded = [], []
 
     def evict(states: np.ndarray, layer: KVCacheLayer) -> KVCacheLayer:
-        profile = degradation_profile([states], embedded, spans)
-        sims.append(profile.per_layer_sim[0])
-        plan = discard_decision(profile, threshold)
-        if plan.per_layer[0]:
+        sim = degradation_profile(states, embedded, spans)
+        if discard_decision(sim, threshold):
             # a kept layer's positions are already 0..T-1
-            layer = reencode_positions(apply_discard(LayeredKVCache([layer]), plan).layers[0])
+            discarded.append(len(sims))
+            layer = reencode_positions(apply_discard(layer))
+        sims.append(sim)
         return layer
 
-    prefill = decoder.prefill(embedded, spans, layer_hook=evict)
-    profile = DegradationProfile(per_layer_sim=np.array(sims))
-    return prefill, profile, discard_decision(profile, threshold)
+    return decoder.prefill(embedded, spans, layer_hook=evict), sims, discarded
 
 
 def baseline_generate(

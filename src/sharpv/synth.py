@@ -33,6 +33,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .pruner import VideoTokens
+from .tensorio import MAX_ELEMENTS
 
 # RNG stream ids, kept distinct so video/prompt draws never collide.
 _STREAM_VIDEO = 0
@@ -200,6 +201,10 @@ def gen_synthetic_video(spec: SyntheticVideoSpec) -> VideoTokens:
         raise ConfigError(f"counts must be >= 1, got n={spec.n} f={spec.f} d={spec.d}")
     if spec.seed < 0:
         raise ConfigError(f"seed must be >= 0, got {spec.seed}")
+    if spec.n * spec.f * spec.d > MAX_ELEMENTS:
+        raise ConfigError(
+            f"n*f*d = {spec.n * spec.f * spec.d} exceeds the element budget of {MAX_ELEMENTS}"
+        )
     rng = np.random.default_rng([spec.seed, _STREAM_VIDEO])
     frames = _gen_frames(spec.pattern, spec.n, spec.f, spec.d, rng)
     data = frames.reshape(spec.n * spec.f, spec.d).astype(np.float32)

@@ -12,16 +12,12 @@ import numpy as np
 import pytest
 
 from sharpv.bench import cache_bytes_linear, cache_bytes_table, scoring_cost_scaling
-from sharpv.cache import SegmentedSequence
+from sharpv.cache import KVCacheLayer, LayeredKVCache, SegmentedSequence
 from sharpv.decoder import Decoder, DecoderConfig
-from sharpv.memory import (
-    DegradationProfile,
-    DiscardPlan,
-    apply_discard,
-    discard_decision,
-    reencode_positions,
+from sharpv.memory import apply_discard, reencode_positions
+from sharpv.pipeline import (
+    PipelineConfig, PromptEmbeddings, baseline_generate, prefill_with_eviction, run_pipeline,
 )
-from sharpv.pipeline import PipelineConfig, PromptEmbeddings, baseline_generate, run_pipeline
 from sharpv.pruner import (
     MODE_MANUAL,
     PrunerConfig,
@@ -33,7 +29,6 @@ from sharpv.pruner import (
 from sharpv.synth import SyntheticVideoSpec, gen_prompt_embeddings, gen_synthetic_video, parse_pattern
 
 import reference_pruner as ref
-from prefill_trace import traced_prefill
 from reference_decoder import dense_masked_decode
 
 
@@ -179,11 +174,11 @@ def test_c06_masking_vs_removal():
     worst = 0.0
     for trial in range(20):
         embedded = rng.standard_normal((spans.total_len, 64))
-        plan = DiscardPlan(
-            per_layer=rng.random(8) < 0.5, threshold=float("nan")
-        )
-        removed = apply_discard(decoder.prefill(embedded, spans).cache, plan)
-        removed.layers = [reencode_positions(l) for l in removed.layers]
+        plan = rng.random(8) < 0.5
+        removed = decoder.prefill(embedded, spans).cache
+        removed.layers = [
+            reencode_positions(apply_discard(l)) if d else l for d, l in zip(plan, removed.layers)
+        ]
         tok = int(rng.integers(0, 64))
         fed, got = [], []
         for _ in range(3):
@@ -191,7 +186,7 @@ def test_c06_masking_vs_removal():
             fed.append(tok)
             got.append(logits_r)
             tok = int(np.argmax(logits_r))
-        want = dense_masked_decode(decoder, embedded, spans.visual_span, plan.per_layer, fed)
+        want = dense_masked_decode(decoder, embedded, spans.visual_span, plan, fed)
         worst = max(worst, float(np.max(np.abs(np.array(got) - want))))
     _verdict(
         6, "discard == dense masked oracle (20 random plans, L=8 d=64)",
@@ -205,8 +200,6 @@ def test_c07_mr_arithmetic():
     layers = []
     spans = SegmentedSequence(system_len=4, visual_len=12, instruction_len=4)
     rng = np.random.default_rng(107)
-    from sharpv.cache import KVCacheLayer, LayeredKVCache
-
     for _ in range(5):
         layers.append(KVCacheLayer(
             keys=rng.standard_normal((20, heads, head_dim)),
@@ -215,30 +208,24 @@ def test_c07_mr_arithmetic():
             segment_tags=spans.tags(),
         ))
     cache = LayeredKVCache(layers=layers)
-    all_true = DiscardPlan(per_layer=np.ones(5, dtype=bool), threshold=1.0)
-    after = apply_discard(cache, all_true)
+    after = LayeredKVCache([apply_discard(layer) for layer in cache.layers])
     exact = after.total_entries() / cache.total_entries()
 
     # monotone discard sets over the threshold sweep, on a real profile
     decoder = Decoder(DecoderConfig())
     video, prompt = _toy_inputs()
-    from sharpv.memory import degradation_profile
-
     embedded = np.vstack([prompt.system, video.data, prompt.instruction])
     full_spans = SegmentedSequence(
         system_len=4, visual_len=video.data.shape[0], instruction_len=8
     )
-    prefill, trace = traced_prefill(decoder, embedded, full_spans)
-    profile = degradation_profile(trace, embedded, full_spans)
     previous, monotone = set(), True
     mrs = []
     for m in (-1.0, 0.0, 0.1, 0.2, 0.4, 1.0):
-        plan = discard_decision(profile, m)
-        current = set(plan.discarded_layers())
+        prefill, _, discarded = prefill_with_eviction(decoder, embedded, full_spans, m)
+        current = set(discarded)
         monotone &= previous <= current
         previous = current
-        swept = apply_discard(prefill.cache, plan)
-        mrs.append(swept.total_entries() / prefill.cache.total_entries())
+        mrs.append(prefill.cache.total_entries() / (len(prefill.cache) * full_spans.total_len))
     non_increasing = all(a >= b for a, b in zip(mrs, mrs[1:]))
     _verdict(
         7, "mr arithmetic and monotone threshold sweep",

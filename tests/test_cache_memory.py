@@ -7,14 +7,8 @@ from sharpv.cache import KVCacheLayer, LayeredKVCache, Segment, SegmentedSequenc
 from sharpv.decoder import Decoder, DecoderConfig
 from sharpv.errors import ShapeMismatchError
 from prefill_trace import traced_prefill
-from sharpv.memory import (
-    DegradationProfile,
-    _row_cosines,
-    apply_discard,
-    degradation_profile,
-    discard_decision,
-    reencode_positions,
-)
+from sharpv.memory import _row_cosines, apply_discard, degradation_profile, reencode_positions
+from sharpv.pipeline import prefill_with_eviction
 
 
 def make_layer(seq_len, heads=2, head_dim=4, visual=(2, 6), seed=0):
@@ -81,9 +75,7 @@ class TestKVCacheLayer:
     def test_next_position_counts_entries(self):
         layer = make_layer(5, visual=(1, 4))
         assert layer.next_position() == 5
-        plan = discard_decision(DegradationProfile(per_layer_sim=np.zeros(1)), 1.0)
-        evicted = reencode_positions(apply_discard(LayeredKVCache([layer]), plan).layers[0])
-        assert evicted.next_position() == 2
+        assert reencode_positions(apply_discard(layer)).next_position() == 2
 
     def test_validate_catches_non_increasing_positions(self):
         layer = make_layer(4)
@@ -117,8 +109,8 @@ class TestDegradationProfile:
         rng = np.random.default_rng(1)
         original = rng.standard_normal((10, 8))
         trace = [original.copy() for _ in range(4)]
-        prof = degradation_profile(trace, original, spans_for(10))
-        assert prof.per_layer_sim == pytest.approx([1.0] * 4, abs=1e-12)
+        sims = [degradation_profile(states, original, spans_for(10)) for states in trace]
+        assert sims == pytest.approx([1.0] * 4, abs=1e-12)
 
     def test_orthogonal_rows_are_zero(self):
         original = np.zeros((4, 4))
@@ -126,8 +118,7 @@ class TestDegradationProfile:
         rotated = np.zeros((4, 4))
         rotated[:, 1] = 1.0
         spans = SegmentedSequence(system_len=1, visual_len=2, instruction_len=1)
-        prof = degradation_profile([rotated], original, spans)
-        assert prof.per_layer_sim[0] == pytest.approx(0.0, abs=1e-12)
+        assert degradation_profile(rotated, original, spans) == pytest.approx(0.0, abs=1e-12)
 
     def test_only_visual_span_counts(self):
         rng = np.random.default_rng(2)
@@ -135,8 +126,8 @@ class TestDegradationProfile:
         trace_layer = original.copy()
         trace_layer[0] = -original[0]  # system row, must not matter
         trace_layer[9] = -original[9]  # instruction row, must not matter
-        prof = degradation_profile([trace_layer], original, spans_for(10))
-        assert prof.per_layer_sim[0] == pytest.approx(1.0, abs=1e-12)
+        sim = degradation_profile(trace_layer, original, spans_for(10))
+        assert sim == pytest.approx(1.0, abs=1e-12)
 
     def test_matches_cosine_loop_on_decoder_trace(self):
         config = DecoderConfig(layers=8, model_dim=64, heads=4, mlp_dim=128, vocab=32, seed=42)
@@ -145,7 +136,6 @@ class TestDegradationProfile:
         spans = SegmentedSequence(system_len=3, visual_len=12, instruction_len=5)
         embedded = rng.standard_normal((spans.total_len, 64))
         _, trace = traced_prefill(decoder, embedded, spans)
-        prof = degradation_profile(trace, embedded, spans)
         lo, hi = spans.visual_span
         for l in range(8):
             sims = []
@@ -154,13 +144,14 @@ class TestDegradationProfile:
                 sims.append(
                     float(np.dot(a, b)) / (math.sqrt(np.dot(a, a)) * math.sqrt(np.dot(b, b)))
                 )
-            assert prof.per_layer_sim[l] == pytest.approx(sum(sims) / len(sims), abs=1e-6)
+            sim = degradation_profile(trace[l], embedded, spans)
+            assert sim == pytest.approx(sum(sims) / len(sims), abs=1e-6)
 
     def test_empty_visual_span_rejected(self):
         original = np.ones((4, 4))
         spans = SegmentedSequence(system_len=2, visual_len=0, instruction_len=2)
         with pytest.raises(ValueError):
-            degradation_profile([original], original, spans)
+            degradation_profile(original, original, spans)
 
 
 class TestRowCosines:
@@ -191,62 +182,83 @@ class TestRowCosines:
         assert (np.abs(got) <= 1.0).all()
 
 
+def stage2_prompt():
+    """An 8-layer decoder and a random prompt whose layer scores fall from
+    1.0 (layer 0) to about 0.25 (layer 7), all distinct."""
+    config = DecoderConfig(layers=8, model_dim=64, heads=4, mlp_dim=256, vocab=64, seed=0)
+    embedded = np.random.default_rng(7).standard_normal((20, 64))
+    return Decoder(config), embedded, spans_for(20, visual=(3, 15))
+
+
 class TestDiscardDecision:
+    """The threshold rule, on ``prefill_with_eviction``: a layer is
+    discarded iff its score is strictly below m clamped to [-1, 1]."""
+
     def test_minus_one_discards_nothing(self):
-        prof = DegradationProfile(per_layer_sim=np.array([0.5, -0.9, 0.0]))
-        plan = discard_decision(prof, -1.0)
-        assert not plan.per_layer.any()
+        decoder, embedded, spans = stage2_prompt()
+        prefill, _, discarded = prefill_with_eviction(decoder, embedded, spans, -1.0)
+        assert discarded == []
+        full = decoder.prefill(embedded, spans).cache
+        for got, want in zip(prefill.cache.layers, full.layers):
+            for field in ("keys", "values", "position_ids", "segment_tags"):
+                assert np.array_equal(getattr(got, field), getattr(want, field))
 
     def test_one_discards_everything_below(self):
-        prof = DegradationProfile(per_layer_sim=np.array([0.99, 0.5, -0.2]))
-        plan = discard_decision(prof, 1.0)
-        assert plan.per_layer.all()
+        decoder, embedded, spans = stage2_prompt()
+        _, sims, discarded = prefill_with_eviction(decoder, embedded, spans, 1.0)
+        assert sims[0] == 1.0  # layer 0's input is the prompt itself
+        assert discarded == [l for l, sim in enumerate(sims) if sim < 1.0]
+        assert discarded == list(range(1, 8))
 
     def test_default_threshold_example(self):
-        prof = DegradationProfile(per_layer_sim=np.array([0.9, 0.5, 0.19, 0.05]))
-        plan = discard_decision(prof, 0.2)
-        assert list(plan.per_layer) == [False, False, True, True]
-        assert plan.discarded_layers() == [2, 3]
+        decoder, embedded, spans = stage2_prompt()
+        prefill, sims, discarded = prefill_with_eviction(decoder, embedded, spans, 0.3)
+        assert discarded == [l for l, sim in enumerate(sims) if sim < 0.3]
+        assert discarded == [5, 6, 7]
+        assert [layer.segment_counts()["visual"] for layer in prefill.cache.layers] == [12] * 5 + [0] * 3
 
     def test_strict_inequality(self):
-        prof = DegradationProfile(per_layer_sim=np.array([0.2]))
-        assert not discard_decision(prof, 0.2).per_layer[0]
+        decoder, embedded, spans = stage2_prompt()
+        _, sims, _ = prefill_with_eviction(decoder, embedded, spans, -1.0)
+        for l in range(1, 8):
+            _, _, at = prefill_with_eviction(decoder, embedded, spans, sims[l])
+            _, _, above = prefill_with_eviction(decoder, embedded, spans, np.nextafter(sims[l], 2.0))
+            assert l not in at and l in above
 
     def test_threshold_clamped(self):
-        prof = DegradationProfile(per_layer_sim=np.array([0.5]))
-        assert discard_decision(prof, 7.0).per_layer[0]  # clamps to 1.0
-        assert not discard_decision(prof, -7.0).per_layer[0]  # clamps to -1.0
+        decoder, embedded, spans = stage2_prompt()
+        for outside, edge in ((5.0, 1.0), (-5.0, -1.0)):
+            got, got_sims, got_discarded = prefill_with_eviction(decoder, embedded, spans, outside)
+            want, sims, discarded = prefill_with_eviction(decoder, embedded, spans, edge)
+            assert (got_sims, got_discarded) == (sims, discarded)
+            assert [len(layer) for layer in got.cache.layers] == [len(layer) for layer in want.cache.layers]
+            assert 0 not in got_discarded
+        assert got_discarded == []
 
     def test_monotone_in_threshold(self):
-        rng = np.random.default_rng(3)
-        prof = DegradationProfile(per_layer_sim=rng.uniform(-1, 1, size=8))
-        previous = set()
-        for m in (-1.0, 0.0, 0.1, 0.2, 0.4, 1.0):
-            current = set(discard_decision(prof, m).discarded_layers())
-            assert previous <= current
-            previous = current
+        decoder, embedded, spans = stage2_prompt()
+        _, sims, _ = prefill_with_eviction(decoder, embedded, spans, -1.0)
+        previous, previous_mr = set(), 1.0
+        for m in sorted({-1.0, 0.0, 0.1, 0.2, 0.4, 1.0, *sims}):
+            prefill, _, discarded = prefill_with_eviction(decoder, embedded, spans, m)
+            mr = prefill.cache.total_entries() / (8 * spans.total_len)
+            assert previous <= set(discarded)
+            assert mr <= previous_mr
+            previous, previous_mr = set(discarded), mr
+        assert previous == set(range(1, 8))
 
 
 class TestApplyDiscard:
     def test_all_false_identity(self):
-        cache = make_cache(3)
-        plan = discard_decision(
-            DegradationProfile(per_layer_sim=np.ones(3)), -1.0
-        )
-        out = apply_discard(cache, plan)
-        for a, b in zip(out.layers, cache.layers):
-            assert np.array_equal(a.keys, b.keys)
-            assert np.array_equal(a.values, b.values)
-            assert np.array_equal(a.position_ids, b.position_ids)
-            assert np.array_equal(a.segment_tags, b.segment_tags)
+        layer = make_layer(10, visual=(2, 2))  # no entry is visual
+        out = apply_discard(layer)
+        for f in ("keys", "values", "position_ids", "segment_tags"):
+            assert np.array_equal(getattr(out, f), getattr(layer, f))
 
     def test_all_true_drops_exactly_visual(self):
         cache = make_cache(4, seq_len=10, visual=(2, 6))
         bytes_before = cache.total_bytes()
-        plan = discard_decision(
-            DegradationProfile(per_layer_sim=np.zeros(4)), 1.0
-        )
-        out = apply_discard(cache, plan)
+        out = LayeredKVCache([apply_discard(layer) for layer in cache.layers])
         per_entry = cache.layers[0].keys[0].nbytes + cache.layers[0].values[0].nbytes
         assert out.total_entries() == cache.total_entries() - 4 * 4
         assert bytes_before - out.total_bytes() == 4 * 4 * per_entry
@@ -255,11 +267,10 @@ class TestApplyDiscard:
 
     def test_mixed_plan_counts(self):
         cache = make_cache(4, seq_len=10, visual=(2, 6))
-        prof = DegradationProfile(per_layer_sim=np.array([0.9, 0.1, 0.9, 0.1]))
-        plan = discard_decision(prof, 0.2)
-        out = apply_discard(cache, plan)
-        expected = [10 if not d else 6 for d in plan.per_layer]
-        assert [len(l) for l in out.layers] == expected
+        plan = [False, True, False, True]
+        out = [apply_discard(l) if d else l for d, l in zip(plan, cache.layers)]
+        expected = [10 if not d else 6 for d in plan]
+        assert [len(l) for l in out] == expected
 
     def test_never_removes_text_or_generated(self):
         cache = make_cache(2, seq_len=10, visual=(2, 6))
@@ -269,26 +280,20 @@ class TestApplyDiscard:
         cache.layers[1].append(
             np.zeros((2, 4)), np.zeros((2, 4)), Segment.GENERATED, position=10
         )
-        plan = discard_decision(DegradationProfile(per_layer_sim=np.zeros(2)), 1.0)
-        out = apply_discard(cache, plan)
-        for layer in out.layers:
-            counts = layer.segment_counts()
+        for layer in cache.layers:
+            counts = apply_discard(layer).segment_counts()
             assert counts["system"] == 2
             assert counts["instruction"] == 4
             assert counts["generated"] == 1
 
     def test_source_cache_untouched(self):
-        cache = make_cache(2)
-        snapshot = cache.total_entries()
-        plan = discard_decision(DegradationProfile(per_layer_sim=np.zeros(2)), 1.0)
-        apply_discard(cache, plan)
-        assert cache.total_entries() == snapshot
-
-    def test_length_mismatch_rejected(self):
-        cache = make_cache(2)
-        plan = discard_decision(DegradationProfile(per_layer_sim=np.zeros(3)), 1.0)
-        with pytest.raises(ShapeMismatchError):
-            apply_discard(cache, plan)
+        layer = make_layer(10)
+        fields = ("keys", "values", "position_ids", "segment_tags")
+        snapshot = [getattr(layer, f).copy() for f in fields]
+        apply_discard(layer)
+        assert len(layer) == 10
+        for f, want in zip(fields, snapshot):
+            assert np.array_equal(getattr(layer, f), want)
 
 
 class TestReencode:
@@ -329,14 +334,13 @@ class TestMrMetric:
     def test_sixty_percent_visual_all_discarded(self):
         # 12 of 20 entries are visual; discarding them all leaves 8/20 = 0.4
         cache = make_cache(5, seq_len=20, visual=(4, 16))
-        plan = discard_decision(DegradationProfile(per_layer_sim=np.zeros(5)), 1.0)
-        after = apply_discard(cache, plan)
+        after = LayeredKVCache([apply_discard(layer) for layer in cache.layers])
         assert retained(cache, after) == 0.4
 
     def test_mixed_plan_hand_count(self):
         cache = make_cache(4, seq_len=10, visual=(2, 6))
-        prof = DegradationProfile(per_layer_sim=np.array([0.5, 0.1, 0.5, 0.1]))
-        after = apply_discard(cache, discard_decision(prof, 0.2))
+        plan = [False, True, False, True]
+        after = LayeredKVCache([apply_discard(l) if d else l for d, l in zip(plan, cache.layers)])
         assert retained(cache, after) == (10 + 6 + 10 + 6) / 40
 
 
@@ -345,11 +349,9 @@ class TestMaskDiscard:
         # removal plus re-encoding leaves exactly the rows a visual mask
         # keeps, each at its rank among the kept rows
         cache = make_cache(3, seq_len=10, visual=(2, 6))
-        prof = DegradationProfile(per_layer_sim=np.array([0.1, 0.9, 0.1]))
-        plan = discard_decision(prof, 0.2)
-        removed = apply_discard(cache, plan)
-        removed.layers = [reencode_positions(l) for l in removed.layers]
-        for discard, src, rem in zip(plan.per_layer, cache.layers, removed.layers):
+        plan = [True, False, True]
+        removed = [reencode_positions(apply_discard(l)) if d else l for d, l in zip(plan, cache.layers)]
+        for discard, src, rem in zip(plan, cache.layers, removed):
             keep = ~((src.segment_tags == Segment.VISUAL) & discard)
             ranks = np.cumsum(keep) - 1
             assert np.array_equal(ranks[keep], rem.position_ids)

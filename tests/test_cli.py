@@ -129,6 +129,22 @@ class TestExitCodes:
         assert "config error" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv", [
+        ("gen", "--pattern", "static"),
+        ("run", "--pattern", "static"),
+        ("bench", "--scales", "1,2,4"),
+    ])
+    def test_oversized_input_is_config_error(self, capsys, tmp_path, argv):
+        # 6.4e15 elements: far past the budget, and far past what numpy could
+        # allocate, so a missing check fails at once instead of using memory
+        out = tmp_path / "out"
+        code, _, err = run_cli(
+            capsys, *argv, "--n", "10000000", "--f", "10000000", "--d", "64", "--out", str(out)
+        )
+        assert code == 2
+        assert "element budget" in err
+        assert not out.exists()
+
 
 class TestConfigFile:
     def test_config_file_applies(self, capsys, tmp_path):

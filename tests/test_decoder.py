@@ -8,13 +8,13 @@ import pytest
 from prefill_trace import traced_prefill
 from reference_decoder import dense_layer, dense_prefill, gelu, layer_norm, softmax
 import sharpv.decoder
-from sharpv.cache import KVCacheLayer, Segment, SegmentedSequence
+from sharpv.cache import KVCacheLayer, LayeredKVCache, Segment, SegmentedSequence
 from sharpv.decoder import (
     _QUERY_BLOCK, Decoder, DecoderConfig, _causal_bias, _gelu, _layer_norm, _softmax,
     init_decoder,
 )
 from sharpv.errors import ConfigError, PositionOverflowError, ShapeMismatchError
-from sharpv.memory import DiscardPlan, apply_discard, reencode_positions
+from sharpv.memory import apply_discard, reencode_positions
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -296,10 +296,10 @@ class TestNoAliasing:
         embedded = np.random.default_rng(9).standard_normal((50, 64))
         spans = SegmentedSequence(system_len=4, visual_len=40, instruction_len=6)
         cache = decoder.prefill(embedded, spans).cache
-        if evicted:  # layer 0 keeps views of the source arrays, 1-2 get take() copies
+        if evicted:  # layer 0 is kept as it is, 1-2 get take() copies
             source = cache
-            cache = apply_discard(source, DiscardPlan(np.array([False, True, True]), 0.2))
-            cache.layers = [reencode_positions(layer) for layer in cache.layers]
+            evicted_layers = [reencode_positions(apply_discard(l)) for l in source.layers[1:]]
+            cache = LayeredKVCache(source.layers[:1] + evicted_layers)
             shared = [np.shares_memory(a.keys, b.keys) for a, b in zip(cache.layers, source.layers)]
             assert shared == [True, False, False]
         fields = ("keys", "values", "position_ids", "segment_tags")

@@ -8,9 +8,7 @@ import pytest
 from prefill_trace import traced_prefill
 from sharpv.cache import Segment, SegmentedSequence
 from sharpv.decoder import Decoder, DecoderConfig
-from sharpv.memory import (
-    apply_discard, degradation_profile, discard_decision, reencode_positions,
-)
+from sharpv.memory import apply_discard, degradation_profile, reencode_positions
 from sharpv.pipeline import (
     PipelineConfig, PromptEmbeddings, baseline_generate, prefill_with_eviction, run_pipeline,
 )
@@ -123,8 +121,8 @@ class TestDiscardInPipeline:
 
 class TestStreamedEviction:
     """prefill_with_eviction (stage 2 per layer, inside prefill) against the
-    two-pass route: record the whole trace, then profile, decide, evict
-    and re-encode the full cache."""
+    two-pass route: record the whole trace, then score each layer, and
+    evict and re-encode the layers of the full cache that score below m."""
 
     @staticmethod
     def pruned_prompt(mode):
@@ -140,25 +138,24 @@ class TestStreamedEviction:
     def test_bit_identical_to_two_pass_route(self, mode, m):
         decoder = toy_decoder()
         embedded, spans = self.pruned_prompt(mode)
-        streamed, profile, plan = prefill_with_eviction(decoder, embedded, spans, m)
+        streamed, sims, discarded = prefill_with_eviction(decoder, embedded, spans, m)
 
         full, trace = traced_prefill(decoder, embedded, spans)
-        want_profile = degradation_profile(trace, embedded, spans)
-        want_plan = discard_decision(want_profile, m)
-        want = apply_discard(full.cache, want_plan)
-        want.layers = [reencode_positions(layer) for layer in want.layers]
+        want_sims = [degradation_profile(states, embedded, spans) for states in trace]
+        want_discarded = [l for l, sim in enumerate(want_sims) if sim < m]
+        want = [reencode_positions(apply_discard(layer)) if l in want_discarded else layer
+                for l, layer in enumerate(full.cache.layers)]
 
-        assert np.array_equal(profile.per_layer_sim, want_profile.per_layer_sim)
-        assert np.array_equal(plan.per_layer, want_plan.per_layer)
-        assert plan.threshold == want_plan.threshold
+        assert np.array_equal(sims, want_sims)
+        assert discarded == want_discarded
         assert np.array_equal(streamed.logits, full.logits)
         assert np.array_equal(streamed.final_hidden, full.final_hidden)
         assert len(streamed.cache) == len(want)
-        for got, exp in zip(streamed.cache.layers, want.layers):
+        for got, exp in zip(streamed.cache.layers, want):
             for field in ("keys", "values", "position_ids", "segment_tags"):
                 assert np.array_equal(getattr(got, field), getattr(exp, field))
         if m == 1.0:  # every layer but the first is discarded
-            assert plan.discarded_layers() == list(range(1, 8))
+            assert discarded == list(range(1, 8))
 
     def test_empty_visual_span_raises_as_two_pass(self):
         decoder = toy_decoder()
@@ -167,7 +164,7 @@ class TestStreamedEviction:
         embedded = np.vstack([embedded[:4], embedded[-8:]])
         _, trace = traced_prefill(decoder, embedded, spans)
         with pytest.raises(ValueError) as two_pass:
-            degradation_profile(trace, embedded, spans)
+            degradation_profile(trace[0], embedded, spans)
         with pytest.raises(ValueError) as streamed:
             prefill_with_eviction(decoder, embedded, spans, 0.2)
         assert str(streamed.value) == str(two_pass.value)
@@ -207,15 +204,16 @@ class TestMaskingEquivalence:
         )
         plans = []
         for m in (0.0, 0.2, 1.0):
-            prefill, _, plan = prefill_with_eviction(decoder, embedded, spans, m)
-            plans.append(plan.discarded_layers())
+            prefill, _, discarded = prefill_with_eviction(decoder, embedded, spans, m)
+            plans.append(discarded)
             fed = [int(np.argmax(prefill.logits))]
             got = []
             for _ in range(3):
                 logits, _ = decoder.decode_step(prefill.cache, decoder.embedding[fed[-1]])
                 got.append(logits)
                 fed.append(int(np.argmax(logits)))
-            want = dense_masked_decode(decoder, embedded, spans.visual_span, plan.per_layer, fed[:-1])
+            plan = [l in discarded for l in range(4)]
+            want = dense_masked_decode(decoder, embedded, spans.visual_span, plan, fed[:-1])
             assert np.array(got) == pytest.approx(want, abs=1e-5)
         assert plans[0] == [] and plans[-1] == [1, 2, 3]  # none at m=0, all but layer 0 at m=1
 

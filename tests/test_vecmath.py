@@ -125,7 +125,7 @@ class TestCosine:
     def test_dimension_mismatch_raises(self):
         spans = SegmentedSequence(system_len=0, visual_len=2, instruction_len=0)
         with pytest.raises(ShapeMismatchError):
-            degradation_profile([np.ones((2, 1))], np.ones((2, 2)), spans)
+            degradation_profile(np.ones((2, 1)), np.ones((2, 2)), spans)
 
     @given(vec_strategy(7), vec_strategy(7))
     def test_bounded(self, a, b):

@@ -86,15 +86,27 @@ def scoring_table(
     return rows
 
 
-def cache_bytes_table(lengths, layers: int = 8, model_dim: int = 64, heads: int = 4) -> list:
-    """KV payload bytes after prefilling random sequences of each length."""
+def check_cache_lengths(lengths) -> list[int]:
+    """The cache ladder as ints; ConfigError unless it holds >= 2 lengths,
+    each from 1 to the decoder's default max_positions. Each length is one
+    real prefill, at 8 KiB of cache per token."""
     lengths = [int(x) for x in lengths]
     if len(lengths) < 2 or any(x < 1 for x in lengths):
         raise ConfigError(f"need >= 2 positive lengths, got {lengths!r}")
+    limit = DecoderConfig().max_positions
+    if max(lengths) > limit:
+        raise ConfigError(
+            f"cache ladder length {max(lengths)} exceeds max_positions {limit}"
+        )
+    return lengths
+
+
+def cache_bytes_table(lengths, layers: int = 8, model_dim: int = 64, heads: int = 4) -> list:
+    """KV payload bytes after prefilling random sequences of each length."""
+    lengths = check_cache_lengths(lengths)
     config = DecoderConfig(
         layers=layers, model_dim=model_dim, heads=heads,
         mlp_dim=4 * model_dim, vocab=64, seed=0,
-        max_positions=max(lengths) + 1,
     )
     decoder = Decoder(config)
     rng = np.random.default_rng(0)

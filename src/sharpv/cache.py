@@ -3,7 +3,10 @@
 The prompt fed to the decoder is three contiguous blocks in fixed order:
 system, visual, instruction. Entries appended during generation are
 tagged ``generated``. Cache layers are stored sequence-major so rows can
-be removed with one ``take`` of an index array along the first axis.
+be removed with one ``take`` of an index array along the first axis, and
+so decode can append a row in place: once a layer has been appended to,
+its arrays are views of capacity-doubling buffers that it alone owns, and
+a decode step writes one row per array instead of copying the cache.
 """
 
 from __future__ import annotations
@@ -83,6 +86,8 @@ class KVCacheLayer:
     values: np.ndarray
     position_ids: np.ndarray  # (seq,) int64
     segment_tags: np.ndarray  # (seq,) uint8
+    # Buffers behind the four arrays once ``append`` has made them.
+    _buffers: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __len__(self) -> int:
         return self.keys.shape[0]
@@ -93,14 +98,30 @@ class KVCacheLayer:
         return len(self)
 
     def append(self, key: np.ndarray, value: np.ndarray, tag: Segment, position: int) -> None:
-        self.keys = np.concatenate([self.keys, key[None]], axis=0)
-        self.values = np.concatenate([self.values, value[None]], axis=0)
-        self.position_ids = np.concatenate(
-            [self.position_ids, np.array([position], dtype=np.int64)]
-        )
-        self.segment_tags = np.concatenate(
-            [self.segment_tags, np.array([int(tag)], dtype=np.uint8)]
-        )
+        """Add one entry, in amortised O(1) copies.
+
+        The four arrays are ``buf[:n]`` views of capacity-doubling buffers
+        that this layer alone owns, so an append writes one row past every
+        view already handed out and leaves those views unchanged. A layer
+        that does not own its arrays (fresh from prefill, eviction or
+        re-encoding, all of which may share memory with another layer)
+        copies them into new buffers first, as does a full one.
+        """
+        n = len(self)
+        arrays = (self.keys, self.values, self.position_ids, self.segment_tags)
+        bufs = self._buffers
+        if bufs is None or bufs[0].shape[0] == n or any(
+            arr.base is not buf for arr, buf in zip(arrays, bufs)
+        ):
+            bufs = self._buffers = tuple(_grown(arr, max(2 * n, 1)) for arr in arrays)
+        keys, values, position_ids, segment_tags = bufs
+        keys[n] = key
+        values[n] = value
+        position_ids[n] = position
+        segment_tags[n] = tag
+        n += 1
+        self.keys, self.values = keys[:n], values[:n]
+        self.position_ids, self.segment_tags = position_ids[:n], segment_tags[:n]
 
     def nbytes(self) -> int:
         """Key/value payload bytes (bookkeeping arrays excluded)."""
@@ -122,6 +143,13 @@ class KVCacheLayer:
             raise ShapeMismatchError("cache layer arrays disagree on sequence length")
         if seq > 1 and not (np.diff(self.position_ids) > 0).all():
             raise ValueError("position ids must be strictly increasing")
+
+
+def _grown(arr: np.ndarray, capacity: int) -> np.ndarray:
+    """A new buffer of ``capacity`` rows starting with a copy of arr."""
+    buf = np.empty((capacity,) + arr.shape[1:], dtype=arr.dtype)
+    buf[:len(arr)] = arr
+    return buf
 
 
 @dataclass

@@ -182,6 +182,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
             f"n*f*max(scales)*d = {cfg.n * cfg.f * max(scales) * cfg.d} exceeds "
             f"the element budget of {MAX_ELEMENTS}"
         )
+    bench_mod.check_cache_lengths([cfg.n * cfg.f * s for s in scales])
     table = bench_mod.run_bench(
         cfg.n, cfg.f, cfg.d, scales=scales, repeats=args.repeats, seed=cfg.seed
     )

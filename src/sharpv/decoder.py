@@ -14,17 +14,23 @@ a complete re-encoding, with no key re-projection. Attention is computed
 from cache contents alone: every cached entry is attendable, and an
 evicted entry is simply gone.
 
-Prefill never builds a (T, T) score array. Query block [i0, i1) of
-``_QUERY_BLOCK`` rows attends only to its causal key prefix [0, i1), so
-the masked triangle beyond i1 is never computed. That prefix holds every
+Prefill never builds a (T, T) score array, and nothing per layer is
+larger than its (T, d) input, keys and values. Each layer first projects
+queries, keys and values for every row; then query block [i0, i1) of
+``_QUERY_BLOCK`` rows attends to its causal key prefix [0, i1) and runs
+the rest of the layer (output projection, residual, MLP) on its own rows
+while they are still in cache, writing them back into the layer input.
+The masked triangle beyond i1 is never computed. That prefix holds every
 key the block's rows may read, so each row's softmax is exact as it
 stands: an online (running max/sum) softmax or key tiling would add
-nothing, as scores are already O(H * _QUERY_BLOCK * T). The distance
-bias is one (H, 2T-1) ramp per pass, and each block's bias is a read-only
-Toeplitz view of it (``_causal_bias``), O(H * T) memory in all. In
-prefill and decode alike, finite bias entries stop at ``_BIAS_FLOOR``,
-which binds only beyond distance 700/slope (2800 for head 0 at the
-default 4 heads).
+nothing, as scores are already O(H * _QUERY_BLOCK * T). As in fused
+attention kernels, queries come pre-scaled and the softmax's row sums
+divide the (H, rows, head_dim) output, not the (H, rows, T) weights. The
+distance bias is one (H, 2T-1) ramp per pass, and each block's bias is a
+read-only Toeplitz view of it (``_causal_bias``), O(H * T) memory in
+all. In prefill and decode alike, finite bias entries stop at
+``_BIAS_FLOOR``, which binds only beyond distance 700/slope (2800 for
+head 0 at the default 4 heads).
 
 Weight draw order (all values standard normal scaled by 1/sqrt(model_dim)):
 token embedding (vocab, d); per layer wq, wk, wv, wo (d, d), w_mlp_in
@@ -56,7 +62,10 @@ _BIAS_FLOOR = -700.0
 _QUERY_BLOCK = 32
 
 # Per-layer prefill hook: called with a layer's (total_len, d) input states
-# and its freshly built KVCacheLayer; returns the layer to store.
+# and its freshly built KVCacheLayer, before the layer's attention runs;
+# returns the layer to store. Prefill overwrites the states in place once
+# the hook returns, so they are valid only during the call: a hook that
+# keeps them must copy them.
 LayerHook = Callable[[np.ndarray, KVCacheLayer], KVCacheLayer]
 
 
@@ -134,16 +143,6 @@ def _gelu(x: np.ndarray) -> np.ndarray:
     return t
 
 
-def _softmax(scores: np.ndarray) -> np.ndarray:
-    """Row softmax over the last axis, computed in place: consumes
-    ``scores`` (which must be writable and owned by the caller) and
-    returns it holding the weights."""
-    scores -= scores.max(axis=-1, keepdims=True)
-    np.exp(scores, out=scores)
-    scores /= scores.sum(axis=-1, keepdims=True)
-    return scores
-
-
 def _head_slopes(heads: int) -> np.ndarray:
     return 2.0 ** (-8.0 * np.arange(1, heads + 1) / heads)
 
@@ -211,21 +210,35 @@ class Decoder:
         return x.transpose(1, 0, 2).reshape(t, h * hd)
 
     def _qkv(self, lw: LayerWeights, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Queries, keys and values of the layer input x, each (H, T, head_dim)."""
+        """Queries, keys and values of the layer input x, each (H, T, head_dim).
+
+        The queries come pre-scaled by 1/sqrt(head_dim), once on the (T, d)
+        projection rather than on every block of scores; at head_dim 16 the
+        scale is 0.25, a power of two, so the scores keep their bits.
+        """
         xn = _layer_norm(x)
-        return (self._split_heads(xn @ lw.wq), self._split_heads(xn @ lw.wk),
-                self._split_heads(xn @ lw.wv))
+        q = xn @ lw.wq
+        q *= self.inv_sqrt_hd
+        return self._split_heads(q), self._split_heads(xn @ lw.wk), self._split_heads(xn @ lw.wv)
 
     def _attend(self, q, keys, values, bias) -> np.ndarray:
-        """Attention of (H, T, head_dim) queries over (H, S, head_dim)
-        keys/values under an additive (H, T, S) bias (-inf where a key may
-        not be read); returns (H, T, head_dim). The one attention routine:
-        prefill calls it per query block, decode_step once per layer.
+        """Attention of (H, T, head_dim) pre-scaled queries over (H, S,
+        head_dim) keys/values under an additive (H, T, S) bias (-inf where a
+        key may not be read); returns (H, T, head_dim). The one attention
+        routine: prefill calls it per query block, decode_step once per layer.
+
+        The softmax is left unnormalised until after the values are mixed
+        in: the row sums divide the (H, T, head_dim) output instead of the
+        (H, T, S) weights, as fused attention kernels do.
         """
         scores = q @ keys.transpose(0, 2, 1)
-        scores *= self.inv_sqrt_hd
         scores += bias  # only read: the prefill bias is a read-only view
-        return _softmax(scores) @ values
+        scores -= scores.max(axis=-1, keepdims=True)
+        np.exp(scores, out=scores)
+        denom = scores.sum(axis=-1, keepdims=True)
+        out = scores @ values
+        out /= denom
+        return out
 
     def _residual_mlp(self, lw, x, attended) -> np.ndarray:
         """Output projection of the (H, T, head_dim) attention result, the
@@ -241,13 +254,17 @@ class Decoder:
 
         Builds each layer's keys/values with segment tags and position ids
         0..T-1. With a ``layer_hook``, every layer is passed through it
-        together with that layer's input states as soon as it is built, and
-        the cache stores what the hook returns; the pipeline evicts there
-        (stage 2), so no layer's input is kept and a discarded layer's
-        visual rows never reach the cache. Without one, every layer is
-        stored whole. Attention runs per block of ``_QUERY_BLOCK`` query
-        rows over that block's causal key prefix, with its bias a view of
-        one distance ramp built per pass; see the module docstring.
+        together with that layer's input states as soon as its keys and
+        values exist, before its attention runs, and the cache stores what
+        the hook returns; the pipeline evicts there (stage 2), so no
+        layer's input is kept and a discarded layer's visual rows never
+        reach the cache. Without one, every layer is stored whole. The
+        layer's attention reads its own keys and values, never the stored
+        layer, so the hook changes what is cached but not the forward pass.
+        Each block of ``_QUERY_BLOCK`` query rows then attends over its
+        causal key prefix, with its bias a view of one distance ramp built
+        per pass, and finishes the layer for its rows in place; see the
+        module docstring.
         """
         embedded = np.asarray(embedded, dtype=np.float64)
         if embedded.ndim != 2 or embedded.shape[1] != self.config.model_dim:
@@ -270,15 +287,12 @@ class Decoder:
         ramp[:, dist < 0] = _MASKED
         blocks = [(i0, min(i0 + _QUERY_BLOCK, total)) for i0 in range(0, total, _QUERY_BLOCK)]
         biases = [_causal_bias(ramp, i0, i1) for i0, i1 in blocks]  # read by every layer
-        attended = np.empty((self.config.heads, total, self.config.head_dim))
 
         tags = spans.tags()
         cache = LayeredKVCache()
         x = embedded.copy()
         for lw in self.layers:
             q, k, v = self._qkv(lw, x)
-            for (i0, i1), bias in zip(blocks, biases):
-                attended[:, i0:i1] = self._attend(q[:, i0:i1], k[:, :i1], v[:, :i1], bias)
             # (T, H, head_dim) views of the fresh, C-contiguous (T, d)
             # projections: nothing else holds them, so no copy is needed.
             layer = KVCacheLayer(
@@ -287,11 +301,16 @@ class Decoder:
                 position_ids=positions.copy(),
                 segment_tags=tags.copy(),
             )
-            del q, k, v  # the layer alone holds k and v: a hook that drops rows frees them
             if layer_hook is not None:
                 layer = layer_hook(x, layer)
             cache.layers.append(layer)
-            x = self._residual_mlp(lw, x, attended)
+            # A row's residual and MLP read only that row, and every key
+            # and value exists already, so each block finishes its layer
+            # and overwrites its own rows of x.
+            for (i0, i1), bias in zip(blocks, biases):
+                attended = self._attend(q[:, i0:i1], k[:, :i1], v[:, :i1], bias)
+                x[i0:i1] = self._residual_mlp(lw, x[i0:i1], attended)
+            del q, k, v  # not alive while the next layer projects its own
         logits = _layer_norm(x[-1:])[0] @ self.w_out  # rows normalise independently
         return PrefillResult(cache=cache, logits=logits, final_hidden=x)
 

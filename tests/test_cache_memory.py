@@ -72,6 +72,41 @@ class TestKVCacheLayer:
         assert layer.segment_tags[-1] == Segment.GENERATED
         layer.validate()
 
+    def test_layers_sharing_arrays_write_separate_buffers(self):
+        decoder = Decoder(DecoderConfig(layers=1, model_dim=8, heads=2, mlp_dim=16, vocab=16))
+        embedded = np.random.default_rng(3).standard_normal((6, 8))
+        a = decoder.prefill(embedded, spans_for(6, visual=(1, 4))).cache.layers[0]
+        rng = np.random.default_rng(4)
+        a.append(*rng.standard_normal((2, 2, 4)), Segment.GENERATED, position=6)
+        b = reencode_positions(a)  # shares a's keys and values
+        assert b.keys.base is a.keys.base and b.values.base is a.values.base
+        held = a.keys.copy(), a.values.copy()
+        row_b, row_a = rng.standard_normal((2, 2, 2, 4))
+        b.append(*row_b, Segment.GENERATED, position=7)
+        a.append(*row_a, Segment.GENERATED, position=7)
+        for layer, row in ((a, row_a), (b, row_b)):
+            assert len(layer) == 8
+            assert np.array_equal(layer.keys[:7], held[0])
+            assert np.array_equal(layer.values[:7], held[1])
+            assert np.array_equal(layer.keys[7], row[0])
+            assert np.array_equal(layer.values[7], row[1])
+
+    def test_appends_reallocate_logarithmically_often(self):
+        n0, steps = 10, 256
+        layer = make_layer(n0)
+        rows = list(np.random.default_rng(5).standard_normal((steps, 2, 2, 4)))
+        owners = []
+        for i, (key, value) in enumerate(rows):
+            layer.append(key, value, Segment.GENERATED, position=n0 + i)
+            owner = layer.keys if layer.keys.base is None else layer.keys.base
+            if not owners or owner is not owners[-1]:
+                owners.append(owner)
+        assert len(owners) <= math.ceil(math.log2(steps + n0)) + 1
+        assert np.array_equal(layer.keys[n0:], [k for k, _ in rows])
+        assert np.array_equal(layer.values[n0:], [v for _, v in rows])
+        assert np.array_equal(layer.position_ids, np.arange(n0 + steps))
+        layer.validate()
+
     def test_next_position_counts_entries(self):
         layer = make_layer(5, visual=(1, 4))
         assert layer.next_position() == 5

@@ -5,7 +5,8 @@ import sys
 import pytest
 
 import sharpv.cli as cli
-from sharpv.errors import InvariantViolation
+from sharpv.decoder import DecoderConfig
+from sharpv.errors import ConfigError, InvariantViolation
 from sharpv.tensorio import read_video
 
 
@@ -145,6 +146,24 @@ class TestExitCodes:
         assert "element budget" in err
         assert not out.exists()
 
+    def test_bench_ladder_over_max_positions_is_config_error(self, capsys, tmp_path, monkeypatch):
+        # n*f*max(scales) = 4,194,304 tokens is within the element budget at
+        # d=64, but its cache ladder would prefill a ~34 GB cache; it is
+        # rejected before any scoring or prefill starts.
+        def ran(*args, **kwargs):
+            raise AssertionError("bench started")
+
+        monkeypatch.setattr(cli.bench_mod, "run_bench", ran)
+        out = tmp_path / "out"
+        code, stdout, err = run_cli(
+            capsys, "bench", "--n", "1024", "--f", "1024", "--d", "64",
+            "--scales", "1,2,4", "--out", str(out),
+        )
+        assert code == 2
+        assert "max_positions" in err
+        assert stdout == ""
+        assert not out.exists()
+
 
 class TestConfigFile:
     def test_config_file_applies(self, capsys, tmp_path):
@@ -222,6 +241,14 @@ class TestBench:
     def test_short_ladder_rejected(self, capsys):
         code, _, _ = run_cli(capsys, "bench", "--scales", "1,2")
         assert code == 2
+
+    def test_cache_ladder_over_max_positions_rejected(self, monkeypatch):
+        def built(config):
+            raise AssertionError("decoder built")
+
+        monkeypatch.setattr(cli.bench_mod, "Decoder", built)
+        with pytest.raises(ConfigError, match="max_positions"):
+            cli.bench_mod.cache_bytes_table([8, DecoderConfig().max_positions + 1])
 
 
 class TestSubprocess:

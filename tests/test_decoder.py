@@ -10,8 +10,7 @@ from reference_decoder import dense_layer, dense_prefill, gelu, layer_norm, soft
 import sharpv.decoder
 from sharpv.cache import KVCacheLayer, LayeredKVCache, Segment, SegmentedSequence
 from sharpv.decoder import (
-    _QUERY_BLOCK, Decoder, DecoderConfig, _causal_bias, _gelu, _layer_norm, _softmax,
-    init_decoder,
+    _QUERY_BLOCK, Decoder, DecoderConfig, _causal_bias, _gelu, _layer_norm, init_decoder,
 )
 from sharpv.errors import ConfigError, PositionOverflowError, ShapeMismatchError
 from sharpv.memory import apply_discard, reencode_positions
@@ -251,7 +250,9 @@ class TestQueryBlockEquivalence:
 
 class TestKernels:
     """The in-place, pow-free kernels against the textbook forms in
-    reference_decoder.py. Only _gelu's arithmetic differs (x*x*x for x**3)."""
+    reference_decoder.py. _layer_norm is bit-identical; _gelu (x*x*x for
+    x**3) and _attend (normalising the output, not the weights) reorder
+    the arithmetic."""
 
     @pytest.mark.parametrize("t", [1, 33, 1062])
     @pytest.mark.parametrize("scale", [1e-2, 1.0, 1e2])
@@ -260,13 +261,23 @@ class TestKernels:
         x = scale * (rng.standard_normal((t, 64)) + rng.standard_normal(64))
         assert np.array_equal(_layer_norm(x), layer_norm(x))
 
-    def test_softmax_bit_identical_with_masked_entries(self):
-        rng = np.random.default_rng(7)
-        scores = 10.0 * rng.standard_normal((4, 32, 97))
-        scores[rng.random(scores.shape) < 0.3] = -np.inf
-        scores[..., 0] = 0.0  # every row keeps an attendable entry
-        want = softmax(scores)
-        assert np.array_equal(_softmax(scores.copy()), want)
+    @pytest.mark.parametrize("s", [1, 97, 1000])
+    def test_attend_matches_textbook_softmax_with_masked_entries(self, s):
+        # The bound was fixed before the first run: 64 eps * max|values|.
+        decoder = Decoder(DecoderConfig(seed=1))
+        rng = np.random.default_rng(s)
+        h, hd = decoder.config.heads, decoder.config.head_dim
+        q = rng.standard_normal((h, 32, hd))
+        keys, values = (rng.standard_normal((h, s, hd)) for _ in range(2))
+        bias = 10.0 * rng.standard_normal((h, 32, s))
+        bias[rng.random(bias.shape) < 0.3] = -np.inf
+        bias[..., 0] = 0.0  # every row keeps a readable key
+        bias[:, 1, 1:] = -np.inf  # row 1 reads key 0 alone
+        want = softmax(q @ keys.transpose(0, 2, 1) + bias) @ values
+        got = decoder._attend(q, keys, values, bias)
+        bound = 64 * np.finfo(np.float64).eps * np.abs(values).max()
+        assert np.abs(got - want).max() <= bound
+        assert np.array_equal(got[:, 1], values[:, 0])
 
     def test_gelu_within_two_ulps_of_pow_form(self):
         x = np.concatenate([np.linspace(-30.0, 30.0, 600_001), [1e6, -1e6, 0.0, -0.0]])

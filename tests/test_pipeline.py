@@ -10,7 +10,8 @@ from sharpv.cache import Segment, SegmentedSequence
 from sharpv.decoder import Decoder, DecoderConfig
 from sharpv.memory import apply_discard, degradation_profile, reencode_positions
 from sharpv.pipeline import (
-    PipelineConfig, PromptEmbeddings, baseline_generate, prefill_with_eviction, run_pipeline,
+    PipelineConfig, PromptEmbeddings, _assemble, baseline_generate, prefill_with_eviction,
+    run_pipeline,
 )
 from sharpv.pruner import PrunerConfig, VideoTokens, prune_video
 from sharpv.report import TIMING_FIELDS, RunReport, validate_report
@@ -117,6 +118,26 @@ class TestDiscardInPipeline:
         row_bytes = total * decoder.config.model_dim * 8
         assert report.cache_bytes_before > report.cache_bytes_after + 4 * row_bytes
         assert live[0] - base < report.cache_bytes_after + 4 * row_bytes
+
+    def test_prefill_peak_memory_on_long_prompt(self):
+        # perfbench's prefill_long input. Prefill holds the layer input, its
+        # q/k/v, the kept layer 0 and one query block's (H, 32, T) scores:
+        # 4.45 MiB. A layer-wide (H, T, head_dim) attention output and
+        # (T, mlp_dim) MLP temporaries took it to 6.98 MiB.
+        decoder = toy_decoder()
+        video, prompt = make_inputs(n=64, f=64, seed=0)
+        pruned = prune_video(video, PipelineConfig().pruner_config())[0]
+        embedded, spans = _assemble(prompt, pruned.tokens)
+        assert spans.total_len == 1063
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            _, _, discarded = prefill_with_eviction(decoder, embedded, spans, 0.2)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert discarded == list(range(1, 8))
+        assert peak <= 5.5 * 2**20
 
 
 class TestStreamedEviction:

@@ -31,16 +31,12 @@ from .pipeline import PipelineConfig, PromptEmbeddings, baseline_generate, prefi
 from .pruner import (
     MODE_ADAPTIVE,
     MODE_MANUAL,
-    ImportanceMap,
     PrunedVideo,
     PrunerConfig,
-    RetentionPlan,
     VideoTokens,
-    combined_importance,
     frame_thresholds,
     importance_maps,
     prune_video,
-    select_topk,
 )
 from .report import RunReport, validate_report
 from .synth import (
@@ -62,19 +58,17 @@ __version__ = "0.1.0"
 __all__ = [
     "BadMagicError", "Burst", "ConfigError", "Decoder", "DecoderConfig",
     "DimensionError", "EXIT_CONFIG", "EXIT_INVARIANT", "EXIT_IO", "EXIT_OK",
-    "ImportanceMap", "InvariantViolation", "KVCacheLayer", "LayeredKVCache",
-    "MODE_ADAPTIVE", "MODE_MANUAL", "Mixed", "PipelineConfig",
-    "PositionOverflowError", "PrefillResult", "PromptEmbeddings",
-    "PrunedVideo", "PrunerConfig", "RetentionPlan", "RunReport", "Segment",
-    "SegmentedSequence", "ShapeMismatchError", "SharpVError", "Static",
-    "SyntheticVideoSpec", "TensorFormatError", "TruncatedFileError",
-    "UniformMotion", "VideoTokens", "apply_discard", "baseline_generate",
-    "cache_bytes_linear", "cache_bytes_table", "combined_importance",
+    "InvariantViolation", "KVCacheLayer", "LayeredKVCache", "MODE_ADAPTIVE",
+    "MODE_MANUAL", "Mixed", "PipelineConfig", "PositionOverflowError",
+    "PrefillResult", "PromptEmbeddings", "PrunedVideo", "PrunerConfig",
+    "RunReport", "Segment", "SegmentedSequence", "ShapeMismatchError",
+    "SharpVError", "Static", "SyntheticVideoSpec", "TensorFormatError",
+    "TruncatedFileError", "UniformMotion", "VideoTokens", "apply_discard",
+    "baseline_generate", "cache_bytes_linear", "cache_bytes_table",
     "degradation_profile", "discard_decision", "frame_thresholds",
     "gen_prompt_embeddings", "gen_synthetic_video", "importance_maps",
     "init_decoder", "parse_pattern", "pattern_to_string",
-    "prefill_with_eviction", "prune_video", "read_video",
-    "reencode_positions", "run_bench", "run_pipeline", "scoring_cost_scaling",
-    "scoring_table", "select_topk", "unit_rows", "validate_report",
-    "write_video",
+    "prefill_with_eviction", "prune_video", "read_video", "reencode_positions",
+    "run_bench", "run_pipeline", "scoring_cost_scaling", "scoring_table",
+    "unit_rows", "validate_report", "write_video",
 ]

@@ -26,9 +26,9 @@ import numpy as np
 
 from .cache import KVCacheLayer, LayeredKVCache, SegmentedSequence
 from .decoder import Decoder, PrefillResult
-from .errors import ConfigError, ShapeMismatchError
+from .errors import ConfigError, PositionOverflowError, ShapeMismatchError
 from .memory import apply_discard, degradation_profile, discard_decision, reencode_positions
-from .pruner import MODE_ADAPTIVE, MODE_MANUAL, PrunerConfig, VideoTokens, prune_video
+from .pruner import MODE_ADAPTIVE, PrunerConfig, VideoTokens, prune_video
 from .report import RunReport, validate_report
 
 
@@ -59,8 +59,7 @@ class PipelineConfig:
     decode_steps: int = 16
 
     def __post_init__(self):
-        if self.mode not in (MODE_ADAPTIVE, MODE_MANUAL):
-            raise ConfigError(f"unknown pruning mode {self.mode!r}")
+        self.pruner_config()  # checks the stage-1 fields
         if self.decode_steps < 1:
             raise ConfigError(f"decode_steps must be >= 1, got {self.decode_steps}")
         if not np.isfinite(self.degradation_threshold):
@@ -95,9 +94,10 @@ def run_pipeline(
         )
     t_start = time.perf_counter()
 
-    pruned, importance, plan = prune_video(video, config.pruner_config())
+    pruned = prune_video(video, config.pruner_config())
 
     embedded, spans = _assemble(prompt, pruned.tokens)
+    _check_positions(decoder, spans, config.decode_steps)
     prefill, sims, discarded = prefill_with_eviction(
         decoder, embedded, spans, config.degradation_threshold
     )
@@ -124,8 +124,8 @@ def run_pipeline(
         vr=pruned.vr,
         mr=mr,
         token_budget=pruned.vr * mr,
-        per_frame_thresholds=[float(t) for t in plan.thresholds],
-        per_frame_keep_counts=[int(k) for k in plan.keep_counts],
+        per_frame_thresholds=[float(t) for t in pruned.thresholds],
+        per_frame_keep_counts=[int(k) for k in pruned.keep_counts],
         per_layer_sim=sims,
         discarded_layers=discarded,
         generated_tokens=generated,
@@ -177,6 +177,7 @@ def baseline_generate(
     if decode_steps < 1:
         raise ConfigError(f"decode_steps must be >= 1, got {decode_steps}")
     embedded, spans = _assemble(prompt, video.data)
+    _check_positions(decoder, spans, decode_steps)
     prefill = decoder.prefill(embedded, spans)
     return _greedy(decoder, prefill.cache, int(np.argmax(prefill.logits)), decode_steps)
 
@@ -190,6 +191,17 @@ def _assemble(prompt: PromptEmbeddings, visual: np.ndarray) -> tuple[np.ndarray,
         instruction_len=prompt.instruction.shape[0],
     )
     return embedded, spans
+
+
+def _check_positions(decoder: Decoder, spans: SegmentedSequence, steps: int) -> None:
+    # Layer 0 is never evicted, so its last decode step writes position
+    # T + steps - 2; fail before prefill rather than at that step.
+    needed = spans.total_len + steps - 1
+    if needed > decoder.config.max_positions:
+        raise PositionOverflowError(
+            f"prompt of {spans.total_len} tokens and {steps} decode steps need "
+            f"{needed} positions, over max_positions {decoder.config.max_positions}"
+        )
 
 
 def _greedy(decoder: Decoder, cache: LayeredKVCache, first_token: int, steps: int) -> list:

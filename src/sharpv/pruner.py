@@ -18,6 +18,10 @@ a token is kept iff its combined score clears a fixed threshold. Both
 modes keep at least one token per frame so downstream frame bookkeeping
 never sees an empty frame.
 
+``prune_video`` decides all frames at once, with no per-frame loop, and
+returns one ``PrunedVideo``: the kept tokens, their flat row indices into
+the video, the retained fraction, and each frame's threshold and count.
+
 Everything here is a pure function of the token directions: scaling all
 embeddings by a positive constant changes nothing unless it moves a token
 or frame-mean norm across ``NORM_EPS`` (1e-12), below which a vector
@@ -72,33 +76,14 @@ class VideoTokens:
 
 
 @dataclass(frozen=True)
-class ImportanceMap:
-    """Per-token spatial/temporal/combined scores for one video."""
-
-    spatial: np.ndarray  # (n, f), each in [0, 2]
-    temporal: np.ndarray  # (n, f), each in [0, 2]
-    combined: np.ndarray  # (n, f) = temporal + spatial_weight * spatial
-    spatial_weight: float
-
-
-@dataclass(frozen=True)
-class RetentionPlan:
-    """Which tokens each frame keeps and why."""
-
-    thresholds: np.ndarray  # (n,) retention ratios in [0, 1]
-    keep_counts: np.ndarray  # (n,) ints in [1, f]
-    kept_indices: tuple  # n arrays of sorted within-frame indices
-    mode: str
-    manual_threshold: float | None = None
-
-
-@dataclass(frozen=True)
 class PrunedVideo:
-    """The surviving tokens in original frame-major order."""
+    """The surviving tokens in original frame-major order, and why."""
 
     tokens: np.ndarray  # (total kept, d)
-    origin: np.ndarray  # (total kept, 2) rows of (frame index, within-frame index)
+    kept: np.ndarray  # (total kept,) ascending row indices into video.data
     vr: float  # retained fraction of visual tokens
+    thresholds: np.ndarray  # (n,) retention ratios in [0, 1]
+    keep_counts: np.ndarray  # (n,) ints in [1, f]
 
 
 @dataclass(frozen=True)
@@ -131,32 +116,27 @@ def importance_maps(video: VideoTokens) -> tuple[np.ndarray, np.ndarray]:
     Spatial: dissimilarity to the frame mean. Temporal: dissimilarity to
     the same position in the previous frame; frame 0 is scored against the
     virtual all-mean reference frame, so its row coincides with its
-    spatial row. One unit-direction pass serves both maps.
+    spatial row. One unit-direction buffer serves both maps: the temporal
+    differences are taken first, then the buffer is centred in place on
+    the unit frame means, so the stage holds at most two input-sized
+    arrays.
     """
     frames = video.frames()
     units = unit_rows(frames)  # (n, f, d)
-    mean_units = unit_rows(frames.mean(axis=1))  # (n, d)
-    diff = units - mean_units[:, None, :]
-    spatial = np.clip(np.linalg.norm(diff, axis=2), 0.0, 2.0)
     temporal = np.empty((video.n, video.f), dtype=np.float64)
-    temporal[0] = spatial[0]
     if video.n > 1:
-        step = units[1:] - units[:-1]
-        temporal[1:] = np.clip(np.linalg.norm(step, axis=2), 0.0, 2.0)
+        temporal[1:] = np.clip(_norms(units[1:] - units[:-1]), 0.0, 2.0)
+    units -= unit_rows(frames.mean(axis=1))[:, None, :]
+    spatial = np.clip(_norms(units), 0.0, 2.0)
+    temporal[0] = spatial[0]
     return spatial, temporal
 
 
-def combined_importance(
-    spatial: np.ndarray, temporal: np.ndarray, spatial_weight: float
-) -> np.ndarray:
-    """Element-wise temporal + spatial_weight * spatial."""
-    spatial = np.asarray(spatial, dtype=np.float64)
-    temporal = np.asarray(temporal, dtype=np.float64)
-    if spatial.shape != temporal.shape:
-        raise ShapeMismatchError(f"shape mismatch: {spatial.shape} vs {temporal.shape}")
-    if spatial_weight < 0:
-        raise ValueError(f"spatial_weight must be >= 0, got {spatial_weight}")
-    return temporal + spatial_weight * spatial
+def _norms(x: np.ndarray) -> np.ndarray:
+    # np.linalg.norm(x, axis=-1) with the same multiply and pairwise sum,
+    # so bit-identical, but squaring x in place instead of into two
+    # full-size temporaries.
+    return np.sqrt(np.square(x, out=x).sum(axis=-1))
 
 
 def frame_thresholds(spatial: np.ndarray, temporal: np.ndarray) -> np.ndarray:
@@ -176,55 +156,35 @@ def frame_thresholds(spatial: np.ndarray, temporal: np.ndarray) -> np.ndarray:
     return np.clip(norms / (2.0 * np.sqrt(f)), 0.0, 1.0)
 
 
-def select_topk(importance_row: np.ndarray, keep_count: int) -> np.ndarray:
-    """Indices of the keep_count largest scores, ascending; ties keep the lower index."""
-    row = np.asarray(importance_row, dtype=np.float64)
-    f = row.shape[0]
-    if not 1 <= keep_count <= f:
-        raise ValueError(f"keep_count {keep_count} out of range [1, {f}]")
-    order = np.argsort(-row, kind="stable")  # stable sort = lowest index wins ties
-    return np.sort(order[:keep_count])
+def prune_video(video: VideoTokens, config: PrunerConfig) -> PrunedVideo:
+    """Score every token, decide every frame's retention, and keep the survivors.
 
-
-def _keep_count(threshold: float, f: int) -> int:
-    # round half away from zero, then clamp to [1, f]
-    return int(min(max(np.floor(threshold * f + 0.5), 1.0), float(f)))
-
-
-def prune_video(
-    video: VideoTokens, config: PrunerConfig
-) -> tuple[PrunedVideo, ImportanceMap, RetentionPlan]:
-    """Score every token, decide per-frame retention, and materialize the survivors."""
+    Adaptive: frame t keeps its round(threshold_t * f) highest combined
+    scores, clamped to [1, f]; a stable sort ranks tied tokens by index,
+    so the lower index wins a tie at the cut. Manual: a token is kept iff
+    its combined score is >= K, and a frame with none keeps its first
+    argmax.
+    """
     spatial, temporal = importance_maps(video)
-    combined = combined_importance(spatial, temporal, config.spatial_weight)
+    combined = temporal + config.spatial_weight * spatial
     thresholds = frame_thresholds(spatial, temporal)
-
-    kept: list[np.ndarray] = []
-    counts = np.empty(video.n, dtype=np.int64)
-    for t in range(video.n):
-        if config.mode == MODE_ADAPTIVE:
-            counts[t] = _keep_count(float(thresholds[t]), video.f)
-            idx = select_topk(combined[t], int(counts[t]))
-        else:
-            idx = np.flatnonzero(combined[t] >= config.manual_threshold)
-            if idx.size == 0:
-                idx = np.array([int(np.argmax(combined[t]))], dtype=np.int64)
-            counts[t] = idx.size
-        kept.append(idx.astype(np.int64))
-
-    flat = np.concatenate([t * video.f + idx for t, idx in enumerate(kept)])
-    origin = np.stack([flat // video.f, flat % video.f], axis=1)
-    pruned = PrunedVideo(
-        tokens=video.data[flat].copy(),
-        origin=origin,
-        vr=flat.size / (video.n * video.f),
-    )
-    imap = ImportanceMap(spatial, temporal, combined, config.spatial_weight)
-    plan = RetentionPlan(
+    f = video.f
+    keep = np.empty((video.n, f), dtype=bool)
+    if config.mode == MODE_ADAPTIVE:
+        counts = np.clip(np.floor(thresholds * f + 0.5), 1, f).astype(np.int64)
+        order = np.argsort(-combined, axis=1, kind="stable")
+        # keep[t, order[t, r]] = r < counts[t]: kept iff ranked below the count
+        np.put_along_axis(keep, order, np.arange(f) < counts[:, None], axis=1)
+    else:
+        np.greater_equal(combined, config.manual_threshold, out=keep)
+        empty = np.flatnonzero(~keep.any(axis=1))
+        keep[empty, np.argmax(combined[empty], axis=1)] = True
+        counts = keep.sum(axis=1)
+    kept = np.flatnonzero(keep)
+    return PrunedVideo(
+        tokens=video.data[kept],
+        kept=kept,
+        vr=kept.size / (video.n * f),
         thresholds=thresholds,
         keep_counts=counts,
-        kept_indices=tuple(kept),
-        mode=config.mode,
-        manual_threshold=config.manual_threshold if config.mode == MODE_MANUAL else None,
     )
-    return pruned, imap, plan

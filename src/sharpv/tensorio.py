@@ -6,8 +6,9 @@ Layout (little-endian throughout):
     bytes 8..19   three uint32: n frames, f tokens per frame, d dims
     bytes 20..    n*f*d IEEE-754 float32 values, frame-major row-major
 
-Values are stored as float32; arrays holding values outside the float32
-grid are rounded on write. Each failure mode gets its own exception so
+Values are stored as float32; values between float32 grid points are
+rounded on write, and values beyond the float32 range are rejected
+before the file is opened. Each failure mode gets its own exception so
 callers can distinguish a wrong file from a damaged one.
 """
 
@@ -40,7 +41,11 @@ def _check_dims(n: int, f: int, d: int) -> None:
 def write_video(path: str | Path, video: VideoTokens) -> None:
     """Write a video token tensor; see module docstring for the layout."""
     _check_dims(video.n, video.f, video.d)
-    payload = np.ascontiguousarray(video.data, dtype="<f4")
+    with np.errstate(over="ignore"):
+        payload = np.ascontiguousarray(video.data, dtype="<f4")
+    if not np.isfinite(payload).all():
+        # read_video would reject the file, so do not write it
+        raise TensorFormatError(f"values exceed the float32 range, not written: {path}")
     with open(path, "wb") as fh:
         fh.write(_HEADER.pack(MAGIC, video.n, video.f, video.d))
         fh.write(payload.tobytes())

@@ -96,3 +96,8 @@ def prune(frames, w, mode, manual_threshold=None):
         counts.append(len(idx))
         kept.append(idx)
     return thr, counts, kept
+
+
+def flat_rows(kept, f):
+    """Per-frame kept index lists as ascending row indices of the whole video."""
+    return [t * f + i for t, idx in enumerate(kept) for i in idx]

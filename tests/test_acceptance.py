@@ -111,14 +111,14 @@ def test_c03_oracle_equivalence():
         v = VideoTokens(n, f, d, rng.standard_normal((n * f, d)))
         frames = [[list(tok) for tok in v.frame(t)] for t in range(n)]
 
-        _, _, adaptive = prune_video(v, PrunerConfig(spatial_weight=1.0))
+        adaptive = prune_video(v, PrunerConfig(spatial_weight=1.0))
         _, _, kept_a = ref.prune(frames, 1.0, "adaptive")
-        if [list(k) for k in adaptive.kept_indices] != kept_a:
+        if list(adaptive.kept) != ref.flat_rows(kept_a, f):
             mismatches += 1
 
-        _, _, manual = prune_video(v, PrunerConfig(mode=MODE_MANUAL, manual_threshold=1.6))
+        manual = prune_video(v, PrunerConfig(mode=MODE_MANUAL, manual_threshold=1.6))
         _, _, kept_m = ref.prune(frames, 1.0, "manual", 1.6)
-        if [list(k) for k in manual.kept_indices] != kept_m:
+        if list(manual.kept) != ref.flat_rows(kept_m, f):
             mismatches += 1
     elapsed = time.perf_counter() - start
     _verdict(
@@ -136,12 +136,12 @@ def test_c04_scale_invariance():
         v = VideoTokens(n, f, d, rng.standard_normal((n * f, d)))
         alpha = float(10.0 ** rng.uniform(-3, 3))
         scaled = VideoTokens(n, f, d, v.data * alpha)
-        _, _, p1 = prune_video(v, PrunerConfig())
-        _, _, p2 = prune_video(scaled, PrunerConfig())
+        p1 = prune_video(v, PrunerConfig())
+        p2 = prune_video(scaled, PrunerConfig())
         same = (
             np.allclose(p1.thresholds, p2.thresholds, atol=1e-9)
             and np.array_equal(p1.keep_counts, p2.keep_counts)
-            and all(np.array_equal(a, b) for a, b in zip(p1.kept_indices, p2.kept_indices))
+            and np.array_equal(p1.kept, p2.kept)
         )
         failures += not same
     _verdict(

@@ -164,6 +164,28 @@ class TestExitCodes:
         assert stdout == ""
         assert not out.exists()
 
+    def test_decode_past_max_positions_fails_before_prefill(self, capsys, tmp_path, monkeypatch):
+        # a static video keeps one token per frame: T = 4 + 8 + 8 = 20, and
+        # decode writes up to position T + steps - 2, so 24 positions fit
+        # exactly 5 steps
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"pattern": "static", "max_positions": 24}))
+        report = run_report(capsys, "--config", str(cfg), "--decode-steps", "5")
+        assert len(report["generated_tokens"]) == 5
+
+        def prefill(*args, **kwargs):
+            raise AssertionError("prefill started")
+
+        monkeypatch.setattr(cli.Decoder, "prefill", prefill)
+        out = tmp_path / "report.json"
+        code, stdout, err = run_cli(
+            capsys, "run", "--config", str(cfg), "--decode-steps", "6", "--out", str(out)
+        )
+        assert code == 2
+        assert "max_positions 24" in err
+        assert stdout == ""
+        assert not out.exists()
+
 
 class TestConfigFile:
     def test_config_file_applies(self, capsys, tmp_path):

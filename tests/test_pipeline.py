@@ -16,7 +16,7 @@ from sharpv.pipeline import (
 from sharpv.pruner import PrunerConfig, VideoTokens, prune_video
 from sharpv.report import TIMING_FIELDS, RunReport, validate_report
 from sharpv.synth import SyntheticVideoSpec, gen_prompt_embeddings, gen_synthetic_video, parse_pattern
-from sharpv.errors import InvariantViolation
+from sharpv.errors import ConfigError, InvariantViolation, PositionOverflowError
 from reference_decoder import dense_masked_decode
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -34,6 +34,43 @@ def make_inputs(pattern="uniform:0.5", n=8, f=16, d=64, seed=42, system_len=4, i
     )
     system, instruction = gen_prompt_embeddings(seed, system_len, instruction_len, d)
     return video, PromptEmbeddings(system, instruction)
+
+
+class TestPipelineConfig:
+    @pytest.mark.parametrize("fields", [
+        {"spatial_weight": -1.0},
+        {"mode": "other"},
+        {"mode": "manual", "manual_threshold": 4.5},
+        {"decode_steps": 0},
+    ])
+    def test_bad_field_raises_on_construction(self, fields):
+        with pytest.raises(ConfigError):
+            PipelineConfig(**fields)
+
+
+class TestPositionBudget:
+    """Layer 0 is never evicted, so a run needs T + decode_steps - 1
+    positions; a run that needs more fails before prefill."""
+
+    @pytest.mark.parametrize("pruned", [True, False], ids=["run_pipeline", "baseline_generate"])
+    def test_overflow_fails_before_prefill(self, pruned, monkeypatch):
+        video, prompt = make_inputs(pattern="static")
+        visual = prune_video(video, PrunerConfig()).tokens if pruned else video.data
+        decoder = toy_decoder(max_positions=_assemble(prompt, visual)[1].total_len + 3)
+
+        def run(steps):
+            if pruned:
+                return run_pipeline(decoder, video, prompt, PipelineConfig(decode_steps=steps))[0]
+            return baseline_generate(decoder, video, prompt, steps)
+
+        assert len(run(4)) == 4  # the last step writes position max_positions - 1
+
+        def prefill(*args, **kwargs):
+            raise AssertionError("prefill started")
+
+        monkeypatch.setattr(decoder, "prefill", prefill)
+        with pytest.raises(PositionOverflowError, match="max_positions"):
+            run(5)
 
 
 class TestNoOpIdentity:
@@ -126,7 +163,7 @@ class TestDiscardInPipeline:
         # (T, mlp_dim) MLP temporaries took it to 6.98 MiB.
         decoder = toy_decoder()
         video, prompt = make_inputs(n=64, f=64, seed=0)
-        pruned = prune_video(video, PipelineConfig().pruner_config())[0]
+        pruned = prune_video(video, PipelineConfig().pruner_config())
         embedded, spans = _assemble(prompt, pruned.tokens)
         assert spans.total_len == 1063
         tracemalloc.start()
@@ -148,7 +185,7 @@ class TestStreamedEviction:
     @staticmethod
     def pruned_prompt(mode):
         video, prompt = make_inputs(n=8, f=24)
-        pruned, _, _ = prune_video(video, PrunerConfig(mode=mode, manual_threshold=1.6))
+        pruned = prune_video(video, PrunerConfig(mode=mode, manual_threshold=1.6))
         embedded = np.vstack([prompt.system, pruned.tokens, prompt.instruction])
         spans = SegmentedSequence(prompt.system.shape[0], pruned.tokens.shape[0],
                                   prompt.instruction.shape[0])

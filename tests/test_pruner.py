@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,16 +9,14 @@ from hypothesis import strategies as st
 from sharpv.bench import scoring_cost_scaling
 from sharpv.errors import ConfigError
 from sharpv.pruner import (
-    MODE_ADAPTIVE,
     MODE_MANUAL,
     PrunerConfig,
     VideoTokens,
-    combined_importance,
     frame_thresholds,
-    prune_video,
-    select_topk,
     importance_maps,
+    prune_video,
 )
+from sharpv.synth import SyntheticVideoSpec, UniformMotion, gen_synthetic_video
 
 import reference_pruner as ref
 
@@ -29,6 +28,43 @@ def random_video(seed, n=4, f=6, d=8):
 
 def to_frames(video):
     return [[list(tok) for tok in video.frame(t)] for t in range(video.n)]
+
+
+def kept_mask(pruned, video):
+    """(n, f) bool: which tokens of each frame the pruned video kept."""
+    mask = np.zeros(video.n * video.f, dtype=bool)
+    mask[pruned.kept] = True
+    return mask.reshape(video.n, video.f)
+
+
+def axis_rows(rng, rows, d):
+    """Signed multiples of basis vectors, whose unit directions are exact."""
+    out = np.zeros((rows, d))
+    scale = rng.uniform(0.5, 2.0, rows) * rng.choice([-1, 1], rows)
+    out[np.arange(rows), rng.integers(0, d, rows)] = scale
+    return out
+
+
+def reference_cases(salt):
+    """(video, w) pairs for w in {0, 0.5, 1, 2}: random videos, some with
+    one frame all zero or scaled below NORM_EPS, some scaled below it
+    whole. A zero-direction frame scores exactly 1 against its neighbours
+    only if their unit directions are exact, so its neighbours are
+    axis-aligned; near-ties at the ulp level would rank by rounding."""
+    for seed in range(25):
+        rng = np.random.default_rng([seed, salt])
+        n, f, d = int(rng.integers(1, 9)), int(rng.integers(1, 17)), int(rng.integers(2, 33))
+        frames = rng.standard_normal((n, f, d))
+        if seed % 5 in (1, 2):
+            t = int(rng.integers(0, n))
+            frames[t] *= 0.0 if seed % 5 == 1 else 1e-14
+            for u in (t - 1, t + 1):
+                if 0 <= u < n:
+                    frames[u] = axis_rows(rng, f, d)
+        elif seed % 5 == 3:
+            frames *= 1e-14
+        for w in (0.0, 0.5, 1.0, 2.0):
+            yield VideoTokens(n, f, d, frames.reshape(n * f, d)), w
 
 
 class TestVideoTokens:
@@ -100,21 +136,36 @@ class TestTemporalImportance:
 
 
 class TestCombined:
+    """The combined score temporal + w * spatial, read through what
+    prune_video keeps."""
+
     def test_zero_weight_is_temporal(self):
-        v = random_video(2)
-        s, t = importance_maps(v)
-        assert np.array_equal(combined_importance(s, t, 0.0), t)
+        # w = 0: each frame keeps its highest temporal scores
+        for seed in range(5):
+            v = random_video(seed, n=5, f=12)
+            pruned = prune_video(v, PrunerConfig(spatial_weight=0.0))
+            temporal = importance_maps(v)[1]
+            for row, keep in zip(temporal, kept_mask(pruned, v)):
+                assert keep.all() or row[keep].min() >= row[~keep].max()
 
     def test_equal_maps_double(self):
-        v = random_video(3)
-        s = importance_maps(v)[0]
-        assert np.allclose(combined_importance(s, s, 1.0), 2 * s, atol=1e-12)
+        # frame 0's temporal row is its spatial row, so with w = 1 it is
+        # kept wherever 2 * spatial clears K
+        v = random_video(3, n=2, f=16)
+        spatial = importance_maps(v)[0]
+        pruned = prune_video(v, PrunerConfig(mode=MODE_MANUAL, manual_threshold=1.6))
+        want = 2 * spatial[0] >= 1.6
+        assert want.any()
+        assert np.array_equal(kept_mask(pruned, v)[0], want)
 
     def test_elementwise_oracle(self):
-        rng = np.random.default_rng(4)
-        s, t = rng.random((3, 5)), rng.random((3, 5))
-        got = combined_importance(s, t, 0.5)
-        assert got == pytest.approx(t + 0.5 * s, abs=1e-12)
+        v = random_video(4, n=6, f=10)
+        s, t = importance_maps(v)
+        config = PrunerConfig(spatial_weight=0.5, mode=MODE_MANUAL, manual_threshold=1.2)
+        keep = kept_mask(prune_video(v, config), v)
+        want = t + 0.5 * s >= 1.2
+        assert want.any(axis=1).all()
+        assert np.array_equal(keep, want)
 
 
 class TestThresholds:
@@ -145,28 +196,37 @@ class TestThresholds:
 
 
 class TestSelectTopk:
+    """Adaptive top-k selection inside prune_video."""
+
     def test_keep_all(self):
-        assert np.array_equal(select_topk(np.array([0.3, 0.1, 0.2]), 3), [0, 1, 2])
+        # frames 1-3 flip every token: threshold 1, all four rows kept in order
+        f0 = np.eye(4)
+        v = VideoTokens(4, 4, 4, np.vstack([f0, -f0, f0, -f0]))
+        pruned = prune_video(v, PrunerConfig())
+        assert np.array_equal(pruned.kept[-12:], np.arange(4, 16))
 
     def test_tie_both_kept(self):
-        assert np.array_equal(select_topk(np.array([0.1, 0.9, 0.9, 0.2]), 2), [1, 2])
+        # tokens 1 and 2 are equal, score highest, and the frame keeps two
+        v = VideoTokens(1, 4, 2, np.array([[-2.0, -2.0], [-1.0, 1.0], [-1.0, 1.0], [-2.0, -2.0]]))
+        spatial = importance_maps(v)[0][0]
+        assert spatial[1] == spatial[2] > spatial[0]
+        pruned = prune_video(v, PrunerConfig())
+        assert np.array_equal(pruned.keep_counts, [2])
+        assert np.array_equal(pruned.kept, [1, 2])
 
     def test_tie_break_lowest_index(self):
-        assert np.array_equal(select_topk(np.array([0.5, 0.5, 0.5]), 1), [0])
-
-    def test_out_of_range_raises(self):
-        with pytest.raises(ValueError):
-            select_topk(np.array([1.0, 2.0]), 3)
-        with pytest.raises(ValueError):
-            select_topk(np.array([1.0, 2.0]), 0)
+        # every score in a frame of identical tokens ties; frame t keeps row t*f
+        v = VideoTokens(3, 5, 4, np.tile([0.5, -1.0, 2.0, 1.0], (15, 1)))
+        pruned = prune_video(v, PrunerConfig())
+        assert np.array_equal(pruned.kept, [0, 5, 10])
 
 
 class TestPruneVideo:
     def test_all_static_keeps_one_per_frame(self):
         token = np.array([1.0, 1.0, 1.0, 1.0])
         v = VideoTokens(3, 5, 4, np.tile(token, (15, 1)))
-        pruned, _, plan = prune_video(v, PrunerConfig())
-        assert np.array_equal(plan.keep_counts, [1, 1, 1])
+        pruned = prune_video(v, PrunerConfig())
+        assert np.array_equal(pruned.keep_counts, [1, 1, 1])
         assert pruned.vr == pytest.approx(1 / 5)
 
     def test_antipodal_alternating_frames(self):
@@ -175,53 +235,59 @@ class TestPruneVideo:
         # those frames keep everything
         f0 = np.eye(4)
         v = VideoTokens(4, 4, 4, np.vstack([f0, -f0, f0, -f0]))
-        _, _, plan = prune_video(v, PrunerConfig())
-        assert plan.thresholds[1:] == pytest.approx([1.0, 1.0, 1.0], abs=1e-9)
-        assert np.array_equal(plan.keep_counts[1:], [4, 4, 4])
+        pruned = prune_video(v, PrunerConfig())
+        assert pruned.thresholds[1:] == pytest.approx([1.0, 1.0, 1.0], abs=1e-9)
+        assert np.array_equal(pruned.keep_counts[1:], [4, 4, 4])
 
     def test_adaptive_matches_reference(self):
-        for seed in range(25):
-            rng = np.random.default_rng([seed, 77])
-            n, f, d = int(rng.integers(1, 9)), int(rng.integers(1, 17)), int(rng.integers(2, 33))
-            v = VideoTokens(n, f, d, rng.standard_normal((n * f, d)))
-            _, _, plan = prune_video(v, PrunerConfig(spatial_weight=1.0))
-            thr, counts, kept = ref.prune(to_frames(v), 1.0, "adaptive")
-            assert plan.thresholds == pytest.approx(thr, abs=1e-9)
-            assert list(plan.keep_counts) == counts
-            assert [list(k) for k in plan.kept_indices] == kept
+        for v, w in reference_cases(77):
+            pruned = prune_video(v, PrunerConfig(spatial_weight=w))
+            thr, counts, kept = ref.prune(to_frames(v), w, "adaptive")
+            assert pruned.thresholds == pytest.approx(thr, abs=1e-9)
+            assert list(pruned.keep_counts) == counts
+            assert list(pruned.kept) == ref.flat_rows(kept, v.f)
 
     def test_manual_matches_reference(self):
-        for seed in range(25):
-            rng = np.random.default_rng([seed, 88])
-            n, f, d = int(rng.integers(1, 9)), int(rng.integers(1, 17)), int(rng.integers(2, 33))
-            v = VideoTokens(n, f, d, rng.standard_normal((n * f, d)))
-            _, _, plan = prune_video(
-                v, PrunerConfig(mode=MODE_MANUAL, manual_threshold=1.6)
-            )
-            _, counts, kept = ref.prune(to_frames(v), 1.0, "manual", 1.6)
-            assert list(plan.keep_counts) == counts
-            assert [list(k) for k in plan.kept_indices] == kept
+        for v, w in reference_cases(88):
+            config = PrunerConfig(spatial_weight=w, mode=MODE_MANUAL, manual_threshold=1.6)
+            pruned = prune_video(v, config)
+            _, counts, kept = ref.prune(to_frames(v), w, "manual", 1.6)
+            assert list(pruned.keep_counts) == counts
+            assert list(pruned.kept) == ref.flat_rows(kept, v.f)
 
     def test_manual_floor_keeps_argmax(self):
         # K at the ceiling: nothing clears it, every frame falls back to one token
         v = random_video(9, n=3, f=4, d=5)
-        _, imap, plan = prune_video(
-            v, PrunerConfig(mode=MODE_MANUAL, manual_threshold=4.0)
-        )
-        for t in range(3):
-            assert list(plan.kept_indices[t]) == [int(np.argmax(imap.combined[t]))]
+        pruned = prune_video(v, PrunerConfig(mode=MODE_MANUAL, manual_threshold=4.0))
+        s, t = importance_maps(v)
+        assert np.array_equal(pruned.kept, np.arange(3) * 4 + np.argmax(t + s, axis=1))
 
     def test_origin_frame_major(self):
         v = random_video(10)
-        pruned, _, _ = prune_video(v, PrunerConfig())
-        flat = pruned.origin[:, 0] * v.f + pruned.origin[:, 1]
-        assert (np.diff(flat) > 0).all()
-        assert np.array_equal(pruned.tokens, v.data[flat])
+        pruned = prune_video(v, PrunerConfig())
+        assert (np.diff(pruned.kept) > 0).all()
+        assert np.array_equal(pruned.tokens, v.data[pruned.kept])
 
     def test_vr_exact(self):
         v = random_video(11)
-        pruned, _, plan = prune_video(v, PrunerConfig())
-        assert pruned.vr == int(plan.keep_counts.sum()) / (v.n * v.f)
+        pruned = prune_video(v, PrunerConfig())
+        assert pruned.vr == int(pruned.keep_counts.sum()) / (v.n * v.f)
+
+    def test_peak_memory_on_long_video(self):
+        # perfbench's prefill_long input (2 MiB). The unit-direction buffer
+        # and one frame-difference temporary are the only input-sized
+        # arrays; the norms square in place.
+        v = gen_synthetic_video(SyntheticVideoSpec(
+            n=64, f=64, d=64, seed=0, pattern=UniformMotion(0.5)
+        ))
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            prune_video(v, PrunerConfig())
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.25 * v.data.nbytes
 
     def test_config_validation(self):
         with pytest.raises(ConfigError):
@@ -240,12 +306,11 @@ class TestProperties:
     def test_scale_invariance_of_plan(self, seed, alpha):
         v = random_video(seed)
         scaled = VideoTokens(v.n, v.f, v.d, v.data * alpha)
-        _, _, p1 = prune_video(v, PrunerConfig())
-        _, _, p2 = prune_video(scaled, PrunerConfig())
+        p1 = prune_video(v, PrunerConfig())
+        p2 = prune_video(scaled, PrunerConfig())
         assert p1.thresholds == pytest.approx(p2.thresholds, abs=1e-9)
         assert np.array_equal(p1.keep_counts, p2.keep_counts)
-        for a, b in zip(p1.kept_indices, p2.kept_indices):
-            assert np.array_equal(a, b)
+        assert np.array_equal(p1.kept, p2.kept)
 
     @given(st.integers(0, 10_000))
     @settings(max_examples=20)
@@ -265,19 +330,15 @@ class TestProperties:
     @settings(max_examples=20)
     def test_keep_counts_in_range(self, seed):
         v = random_video(seed)
-        _, _, plan = prune_video(v, PrunerConfig())
-        assert ((plan.keep_counts >= 1) & (plan.keep_counts <= v.f)).all()
+        pruned = prune_video(v, PrunerConfig())
+        assert ((pruned.keep_counts >= 1) & (pruned.keep_counts <= v.f)).all()
 
     @given(st.integers(0, 10_000))
     @settings(max_examples=20)
     def test_importance_nonnegative_bounded(self, seed):
-        v = random_video(seed)
-        _, imap, _ = prune_video(v, PrunerConfig())
-        assert (imap.spatial >= 0).all() and (imap.spatial <= 2).all()
-        assert (imap.temporal >= 0).all() and (imap.temporal <= 2).all()
-        assert np.allclose(
-            imap.combined, imap.temporal + imap.spatial_weight * imap.spatial
-        )
+        spatial, temporal = importance_maps(random_video(seed))
+        assert (spatial >= 0).all() and (spatial <= 2).all()
+        assert (temporal >= 0).all() and (temporal <= 2).all()
 
 
 class TestScoringCost:

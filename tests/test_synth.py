@@ -133,7 +133,7 @@ class TestGeneration:
 class TestVrOnPatterns:
     def test_static_vr_floor(self):
         v = make(Static(), n=4, f=10)
-        pruned, _, _ = prune_video(v, PrunerConfig())
+        pruned = prune_video(v, PrunerConfig())
         assert pruned.vr == pytest.approx(1 / 10)
 
 

@@ -99,6 +99,24 @@ class TestErrors:
         with pytest.raises(TensorFormatError):
             read_video(path)
 
+    def test_value_beyond_float32_range_writes_nothing(self, tmp_path):
+        # 1e300 is finite as float64 but casts to inf as float32; the file
+        # would fail read_video's NaN/Inf check
+        data = sample_video().data.copy()
+        data[3, 2] = 1e300
+        path = tmp_path / "v.svt"
+        with pytest.raises(TensorFormatError):
+            write_video(path, VideoTokens(3, 4, 5, data))
+        assert not path.exists()
+
+    def test_largest_float32_round_trips(self, tmp_path):
+        big = float(np.finfo(np.float32).max)
+        data = sample_video().data.copy()
+        data[3, 2], data[0, 0] = big, -big
+        path = tmp_path / "v.svt"
+        write_video(path, VideoTokens(3, 4, 5, data))
+        assert np.array_equal(read_video(path).data, data)
+
     def test_error_types_are_distinct(self):
         assert issubclass(BadMagicError, TensorFormatError)
         assert issubclass(TruncatedFileError, TensorFormatError)

@@ -9,7 +9,7 @@ test suite is checkable end to end.
 """
 
 from .bench import cache_bytes_linear, cache_bytes_table, run_bench, scoring_cost_scaling, scoring_table
-from .cache import KVCacheLayer, LayeredKVCache, Segment, SegmentedSequence
+from .cache import KVCacheLayer, Segment, SegmentedSequence
 from .decoder import Decoder, DecoderConfig, PrefillResult, init_decoder
 from .errors import (
     EXIT_CONFIG,
@@ -48,7 +48,6 @@ from .synth import (
     gen_prompt_embeddings,
     gen_synthetic_video,
     parse_pattern,
-    pattern_to_string,
 )
 from .tensorio import read_video, write_video
 from .vecmath import unit_rows
@@ -58,16 +57,15 @@ __version__ = "0.1.0"
 __all__ = [
     "BadMagicError", "Burst", "ConfigError", "Decoder", "DecoderConfig",
     "DimensionError", "EXIT_CONFIG", "EXIT_INVARIANT", "EXIT_IO", "EXIT_OK",
-    "InvariantViolation", "KVCacheLayer", "LayeredKVCache", "MODE_ADAPTIVE",
-    "MODE_MANUAL", "Mixed", "PipelineConfig", "PositionOverflowError",
-    "PrefillResult", "PromptEmbeddings", "PrunedVideo", "PrunerConfig",
-    "RunReport", "Segment", "SegmentedSequence", "ShapeMismatchError",
-    "SharpVError", "Static", "SyntheticVideoSpec", "TensorFormatError",
-    "TruncatedFileError", "UniformMotion", "VideoTokens", "apply_discard",
-    "baseline_generate", "cache_bytes_linear", "cache_bytes_table",
-    "degradation_profile", "discard_decision", "frame_thresholds",
-    "gen_prompt_embeddings", "gen_synthetic_video", "importance_maps",
-    "init_decoder", "parse_pattern", "pattern_to_string",
+    "InvariantViolation", "KVCacheLayer", "MODE_ADAPTIVE", "MODE_MANUAL",
+    "Mixed", "PipelineConfig", "PositionOverflowError", "PrefillResult",
+    "PromptEmbeddings", "PrunedVideo", "PrunerConfig", "RunReport", "Segment",
+    "SegmentedSequence", "ShapeMismatchError", "SharpVError", "Static",
+    "SyntheticVideoSpec", "TensorFormatError", "TruncatedFileError",
+    "UniformMotion", "VideoTokens", "apply_discard", "baseline_generate",
+    "cache_bytes_linear", "cache_bytes_table", "degradation_profile",
+    "discard_decision", "frame_thresholds", "gen_prompt_embeddings",
+    "gen_synthetic_video", "importance_maps", "init_decoder", "parse_pattern",
     "prefill_with_eviction", "prune_video", "read_video", "reencode_positions",
     "run_bench", "run_pipeline", "scoring_cost_scaling", "scoring_table",
     "unit_rows", "validate_report", "write_video",

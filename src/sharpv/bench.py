@@ -114,11 +114,11 @@ def cache_bytes_table(lengths, layers: int = 8, model_dim: int = 64, heads: int 
     for length in lengths:
         embedded = rng.standard_normal((length, model_dim))
         spans = SegmentedSequence(system_len=0, visual_len=length, instruction_len=0)
-        cache = decoder.prefill(embedded, spans).cache
+        nbytes = sum(layer.nbytes() for layer in decoder.prefill(embedded, spans).cache)
         rows.append({
             "length": length,
-            "bytes": cache.total_bytes(),
-            "bytes_per_entry": cache.total_bytes() // (length * layers),
+            "bytes": nbytes,
+            "bytes_per_entry": nbytes // (length * layers),
         })
     return rows
 

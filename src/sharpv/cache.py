@@ -1,12 +1,13 @@
-"""Segmented sequences and the layered key/value cache.
+"""Segmented sequences and the key/value cache layer.
 
 The prompt fed to the decoder is three contiguous blocks in fixed order:
 system, visual, instruction. Entries appended during generation are
-tagged ``generated``. Cache layers are stored sequence-major so rows can
-be removed with one ``take`` of an index array along the first axis, and
-so decode can append a row in place: once a layer has been appended to,
-its arrays are views of capacity-doubling buffers that it alone owns, and
-a decode step writes one row per array instead of copying the cache.
+tagged ``generated``. A decoder's cache is a plain ``list[KVCacheLayer]``,
+one per layer. Cache layers are stored sequence-major so rows can be
+removed with one ``take`` of an index array along the first axis, and so
+decode can append a row in place: once a layer has been appended to, its
+arrays are views of capacity-doubling buffers that it alone owns, and a
+decode step writes one row per array instead of copying the cache.
 """
 
 from __future__ import annotations
@@ -92,11 +93,6 @@ class KVCacheLayer:
     def __len__(self) -> int:
         return self.keys.shape[0]
 
-    def next_position(self) -> int:
-        """Position id a freshly appended entry should carry: the entry
-        count, which continues compacted ids 0..len-1."""
-        return len(self)
-
     def append(self, key: np.ndarray, value: np.ndarray, tag: Segment, position: int) -> None:
         """Add one entry, in amortised O(1) copies.
 
@@ -151,19 +147,3 @@ def _grown(arr: np.ndarray, capacity: int) -> np.ndarray:
     buf[:len(arr)] = arr
     return buf
 
-
-@dataclass
-class LayeredKVCache:
-    layers: list[KVCacheLayer] = field(default_factory=list)
-
-    def __len__(self) -> int:
-        return len(self.layers)
-
-    def total_entries(self) -> int:
-        return sum(len(layer) for layer in self.layers)
-
-    def total_bytes(self) -> int:
-        return sum(layer.nbytes() for layer in self.layers)
-
-    def per_layer_segment_counts(self) -> list[dict[str, int]]:
-        return [layer.segment_counts() for layer in self.layers]

@@ -176,6 +176,11 @@ def cmd_bench(args: argparse.Namespace) -> int:
         raise ConfigError(f"--scales must be comma-separated integers: {exc}") from exc
     if args.repeats < 1:
         raise ConfigError(f"--repeats must be >= 1, got {args.repeats}")
+    if min(cfg.n, cfg.f, cfg.d) < 1 or min(scales) < 1:
+        raise ConfigError(
+            f"n, f, d and every scale must be >= 1, got n={cfg.n} f={cfg.f} "
+            f"d={cfg.d} scales={list(scales)}"
+        )
     # the largest scale's scoring input is allocated whole
     if cfg.n * cfg.f * max(scales) * cfg.d > MAX_ELEMENTS:
         raise ConfigError(

@@ -45,7 +45,7 @@ from typing import Callable
 
 import numpy as np
 
-from .cache import KVCacheLayer, LayeredKVCache, Segment, SegmentedSequence
+from .cache import KVCacheLayer, Segment, SegmentedSequence
 from .errors import ConfigError, PositionOverflowError, ShapeMismatchError
 
 _LN_EPS = 1e-5
@@ -108,7 +108,10 @@ class LayerWeights:
 
 @dataclass(frozen=True)
 class PrefillResult:
-    cache: LayeredKVCache
+    """A prefilled prompt. The cache is a plain list with one
+    ``KVCacheLayer`` per decoder layer, in order, ready for ``decode_step``."""
+
+    cache: list[KVCacheLayer]
     logits: np.ndarray  # (vocab,) for the final position
     final_hidden: np.ndarray  # (total_len, d), output of the last layer pre-norm
 
@@ -253,14 +256,17 @@ class Decoder:
         """Causal forward pass over the whole prompt.
 
         Builds each layer's keys/values with segment tags and position ids
-        0..T-1. With a ``layer_hook``, every layer is passed through it
-        together with that layer's input states as soon as its keys and
-        values exist, before its attention runs, and the cache stores what
-        the hook returns; the pipeline evicts there (stage 2), so no
-        layer's input is kept and a discarded layer's visual rows never
-        reach the cache. Without one, every layer is stored whole. The
-        layer's attention reads its own keys and values, never the stored
-        layer, so the hook changes what is cached but not the forward pass.
+        0..T-1; every layer shares one read-only position array and one
+        read-only tag array, which ``KVCacheLayer.append`` copies before
+        its first write. With a ``layer_hook``, every layer is passed
+        through it together with that layer's input states as soon as its
+        keys and values exist, before its attention runs, and the cache
+        stores what the hook returns; the pipeline evicts there (stage 2),
+        so no layer's input is kept and a discarded layer's visual rows
+        never reach the cache. Without one, every layer is stored whole.
+        The layer's attention reads its own keys and values, never the
+        stored layer, so the hook changes what is cached but not the
+        forward pass.
         Each block of ``_QUERY_BLOCK`` query rows then attends over its
         causal key prefix, with its bias a view of one distance ramp built
         per pass, and finishes the layer for its rows in place; see the
@@ -282,14 +288,16 @@ class Decoder:
             )
 
         positions = np.arange(total, dtype=np.int64)
+        tags = spans.tags()
+        positions.flags.writeable = False  # shared by every layer's cache
+        tags.flags.writeable = False
         dist = np.arange(total - 1, -total, -1, dtype=np.int64)  # T-1 down to 1-T
         ramp = np.maximum(-self.slopes[:, None] * dist, _BIAS_FLOOR)  # (H, 2T-1)
         ramp[:, dist < 0] = _MASKED
         blocks = [(i0, min(i0 + _QUERY_BLOCK, total)) for i0 in range(0, total, _QUERY_BLOCK)]
         biases = [_causal_bias(ramp, i0, i1) for i0, i1 in blocks]  # read by every layer
 
-        tags = spans.tags()
-        cache = LayeredKVCache()
+        cache = []
         x = embedded.copy()
         for lw in self.layers:
             q, k, v = self._qkv(lw, x)
@@ -298,12 +306,12 @@ class Decoder:
             layer = KVCacheLayer(
                 keys=k.transpose(1, 0, 2),
                 values=v.transpose(1, 0, 2),
-                position_ids=positions.copy(),
-                segment_tags=tags.copy(),
+                position_ids=positions,
+                segment_tags=tags,
             )
             if layer_hook is not None:
                 layer = layer_hook(x, layer)
-            cache.layers.append(layer)
+            cache.append(layer)
             # A row's residual and MLP read only that row, and every key
             # and value exists already, so each block finishes its layer
             # and overwrites its own rows of x.
@@ -315,14 +323,16 @@ class Decoder:
         return PrefillResult(cache=cache, logits=logits, final_hidden=x)
 
     def decode_step(
-        self, cache: LayeredKVCache, embedding: np.ndarray
+        self, cache: list[KVCacheLayer], embedding: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Advance one token: append a generated entry to every layer and
-        return (next-token logits, the token's final-layer hidden state).
+        """Advance one token: append a generated entry to every layer of
+        the cache (one ``KVCacheLayer`` per decoder layer, mutated in place)
+        and return (next-token logits, the token's final-layer hidden state).
 
-        The cache is mutated in place. The new entry's position id is the
-        layer's entry count, which continues the compacted coordinate
-        system whether or not eviction happened.
+        A new entry's position id is its layer's entry count: a layer's ids
+        are 0..len-1 (prefill numbers them so, and eviction re-encodes them
+        so), and the count continues that coordinate system whether or not
+        the layer was evicted.
         """
         embedding = np.asarray(embedding, dtype=np.float64)
         if embedding.shape != (self.config.model_dim,):
@@ -334,8 +344,8 @@ class Decoder:
                 f"cache has {len(cache)} layers, decoder has {self.config.layers}"
             )
         x = embedding[None, :].copy()  # (1, d)
-        for lw, layer in zip(self.layers, cache.layers):
-            pos = layer.next_position()
+        for lw, layer in zip(self.layers, cache):
+            pos = len(layer)
             if pos >= self.config.max_positions:
                 raise PositionOverflowError(
                     f"position {pos} exceeds max_positions {self.config.max_positions}"

@@ -24,11 +24,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cache import KVCacheLayer, LayeredKVCache, SegmentedSequence
+from .cache import KVCacheLayer, SegmentedSequence
 from .decoder import Decoder, PrefillResult
 from .errors import ConfigError, PositionOverflowError, ShapeMismatchError
 from .memory import apply_discard, degradation_profile, discard_decision, reencode_positions
-from .pruner import MODE_ADAPTIVE, PrunerConfig, VideoTokens, prune_video
+from .pruner import PrunerConfig, VideoTokens, prune_video
 from .report import RunReport, validate_report
 
 
@@ -51,28 +51,21 @@ class PromptEmbeddings:
 
 
 @dataclass(frozen=True)
-class PipelineConfig:
-    spatial_weight: float = 1.0
-    mode: str = MODE_ADAPTIVE
-    manual_threshold: float = 1.6
+class PipelineConfig(PrunerConfig):
+    """Stage 1's fields (inherited) and their checks, then stage 2's
+    threshold and the decode length; ``prune_video`` takes it as it is."""
+
     degradation_threshold: float = 0.2
     decode_steps: int = 16
 
     def __post_init__(self):
-        self.pruner_config()  # checks the stage-1 fields
+        super().__post_init__()
         if self.decode_steps < 1:
             raise ConfigError(f"decode_steps must be >= 1, got {self.decode_steps}")
         if not np.isfinite(self.degradation_threshold):
             raise ConfigError(
                 f"degradation_threshold must be finite, got {self.degradation_threshold}"
             )
-
-    def pruner_config(self) -> PrunerConfig:
-        return PrunerConfig(
-            spatial_weight=self.spatial_weight,
-            mode=self.mode,
-            manual_threshold=self.manual_threshold,
-        )
 
 
 def run_pipeline(
@@ -94,7 +87,7 @@ def run_pipeline(
         )
     t_start = time.perf_counter()
 
-    pruned = prune_video(video, config.pruner_config())
+    pruned = prune_video(video, config)
 
     embedded, spans = _assemble(prompt, pruned.tokens)
     _check_positions(decoder, spans, config.decode_steps)
@@ -108,12 +101,15 @@ def run_pipeline(
     # A full prefill cache holds float64 keys and values for all T rows in
     # every layer; the evicted one is measured.
     rows_before = len(cache) * spans.total_len
-    mr = cache.total_entries() / rows_before
+    mr = sum(len(layer) for layer in cache) / rows_before
     bytes_before = rows_before * 2 * decoder.config.model_dim * 8
-    layers_before = [spans.segment_counts() for _ in cache.layers]
-    bytes_after = cache.total_bytes()
-    layers_after = cache.per_layer_segment_counts()
-    del prefill  # decode needs only the cache
+    layers_before = [spans.segment_counts() for _ in cache]
+    bytes_after = sum(layer.nbytes() for layer in cache)
+    layers_after = [layer.segment_counts() for layer in cache]
+    vr, thresholds, keep_counts = pruned.vr, pruned.thresholds, pruned.keep_counts
+    # Decode needs only the cache: the prompt, the kept visual tokens and
+    # the prefill states are not kept alive through it.
+    del prefill, pruned, embedded
 
     generated = _greedy(decoder, cache, first_token, config.decode_steps)
     t_end = time.perf_counter()
@@ -121,11 +117,11 @@ def run_pipeline(
     steps = config.decode_steps
     tpot = (t_end - t_first) / (steps - 1) if steps > 1 else 0.0
     report = RunReport(
-        vr=pruned.vr,
+        vr=vr,
         mr=mr,
-        token_budget=pruned.vr * mr,
-        per_frame_thresholds=[float(t) for t in pruned.thresholds],
-        per_frame_keep_counts=[int(k) for k in pruned.keep_counts],
+        token_budget=vr * mr,
+        per_frame_thresholds=[float(t) for t in thresholds],
+        per_frame_keep_counts=[int(k) for k in keep_counts],
         per_layer_sim=sims,
         discarded_layers=discarded,
         generated_tokens=generated,
@@ -204,7 +200,7 @@ def _check_positions(decoder: Decoder, spans: SegmentedSequence, steps: int) -> 
         )
 
 
-def _greedy(decoder: Decoder, cache: LayeredKVCache, first_token: int, steps: int) -> list:
+def _greedy(decoder: Decoder, cache: list[KVCacheLayer], first_token: int, steps: int) -> list:
     """first_token, then steps - 1 greedy decode steps on the cache (mutated)."""
     generated = [first_token]
     for _ in range(steps - 1):

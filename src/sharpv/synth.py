@@ -113,21 +113,6 @@ def parse_pattern(text: str) -> object:
     raise ConfigError(f"unknown pattern {text!r}")
 
 
-def pattern_to_string(pattern: object) -> str:
-    """Inverse of parse_pattern, used for the report's config echo."""
-    if isinstance(pattern, Static):
-        return "static"
-    if isinstance(pattern, UniformMotion):
-        return f"uniform:{pattern.rate:g}"
-    if isinstance(pattern, Burst):
-        return "burst:" + ",".join(str(i) for i in pattern.frames)
-    if isinstance(pattern, Mixed):
-        return "mixed:" + "+".join(
-            f"{pattern_to_string(inner)}@{count}" for inner, count in pattern.segments
-        )
-    raise ConfigError(f"unknown pattern object {pattern!r}")
-
-
 def _orthonormal_pair(rng: np.random.Generator, d: int) -> tuple[np.ndarray, np.ndarray]:
     # Gram-Schmidt on two fresh gaussian draws; degenerate draws have
     # probability zero but are retried anyway.

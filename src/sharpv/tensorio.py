@@ -14,6 +14,8 @@ callers can distinguish a wrong file from a damaged one.
 
 from __future__ import annotations
 
+import os
+import stat
 import struct
 from pathlib import Path
 
@@ -52,28 +54,38 @@ def write_video(path: str | Path, video: VideoTokens) -> None:
 
 
 def read_video(path: str | Path) -> VideoTokens:
-    """Read a video token tensor, validating magic, dimensions, and length."""
+    """Read a video token tensor, validating magic, dimensions, and length.
+
+    The header is checked before any payload is read, a regular file's
+    length before its payload is read, and at most one byte past the
+    payload is ever read, so memory stays within the element budget
+    whatever the path holds (a pipe or a device included).
+    """
     with open(path, "rb") as fh:
-        blob = fh.read()
-    if len(blob) < _HEADER.size:
-        if blob[: len(MAGIC)] != MAGIC[: len(blob)]:
-            raise BadMagicError(f"not a video tensor file: {path}")
-        raise TruncatedFileError(f"file ends inside the header: {path}")
-    magic, n, f, d = _HEADER.unpack_from(blob)
-    if magic != MAGIC:
-        raise BadMagicError(f"bad magic {magic!r} in {path}")
-    _check_dims(n, f, d)
-    expected = _HEADER.size + n * f * d * 4
-    if len(blob) < expected:
-        raise TruncatedFileError(
-            f"expected {expected} bytes but file has {len(blob)}: {path}"
-        )
-    if len(blob) > expected:
-        raise TensorFormatError(
-            f"{len(blob) - expected} bytes of trailing data after the payload: {path}"
-        )
-    values = np.frombuffer(blob, dtype="<f4", offset=_HEADER.size)
+        header = fh.read(_HEADER.size)
+        if len(header) < _HEADER.size:
+            if header[: len(MAGIC)] != MAGIC[: len(header)]:
+                raise BadMagicError(f"not a video tensor file: {path}")
+            raise TruncatedFileError(f"file ends inside the header: {path}")
+        magic, n, f, d = _HEADER.unpack(header)
+        if magic != MAGIC:
+            raise BadMagicError(f"bad magic {magic!r} in {path}")
+        _check_dims(n, f, d)
+        expected = _HEADER.size + n * f * d * 4
+        st = os.fstat(fh.fileno())
+        if stat.S_ISREG(st.st_mode):
+            _check_length(st.st_size, expected, path)
+        payload = fh.read(expected - _HEADER.size + 1)
+    _check_length(_HEADER.size + len(payload), expected, path)
+    values = np.frombuffer(payload, dtype="<f4")
     if not np.isfinite(values).all():
         raise TensorFormatError(f"payload contains NaN or Inf: {path}")
     data = values.astype(np.float64).reshape(n * f, d)
     return VideoTokens(n, f, d, data)
+
+
+def _check_length(size: int, expected: int, path: str | Path) -> None:
+    if size < expected:
+        raise TruncatedFileError(f"expected {expected} bytes but file has {size}: {path}")
+    if size > expected:
+        raise TensorFormatError(f"trailing data after the {expected}-byte payload: {path}")

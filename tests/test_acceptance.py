@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from sharpv.bench import cache_bytes_linear, cache_bytes_table, scoring_cost_scaling
-from sharpv.cache import KVCacheLayer, LayeredKVCache, SegmentedSequence
+from sharpv.cache import KVCacheLayer, SegmentedSequence
 from sharpv.decoder import Decoder, DecoderConfig
 from sharpv.memory import apply_discard, reencode_positions
 from sharpv.pipeline import (
@@ -175,9 +175,9 @@ def test_c06_masking_vs_removal():
     for trial in range(20):
         embedded = rng.standard_normal((spans.total_len, 64))
         plan = rng.random(8) < 0.5
-        removed = decoder.prefill(embedded, spans).cache
-        removed.layers = [
-            reencode_positions(apply_discard(l)) if d else l for d, l in zip(plan, removed.layers)
+        removed = [
+            reencode_positions(apply_discard(l)) if d else l
+            for d, l in zip(plan, decoder.prefill(embedded, spans).cache)
         ]
         tok = int(rng.integers(0, 64))
         fed, got = [], []
@@ -207,9 +207,8 @@ def test_c07_mr_arithmetic():
             position_ids=np.arange(20, dtype=np.int64),
             segment_tags=spans.tags(),
         ))
-    cache = LayeredKVCache(layers=layers)
-    after = LayeredKVCache([apply_discard(layer) for layer in cache.layers])
-    exact = after.total_entries() / cache.total_entries()
+    after = [apply_discard(layer) for layer in layers]
+    exact = sum(len(layer) for layer in after) / sum(len(layer) for layer in layers)
 
     # monotone discard sets over the threshold sweep, on a real profile
     decoder = Decoder(DecoderConfig())
@@ -225,7 +224,8 @@ def test_c07_mr_arithmetic():
         current = set(discarded)
         monotone &= previous <= current
         previous = current
-        mrs.append(prefill.cache.total_entries() / (len(prefill.cache) * full_spans.total_len))
+        kept = sum(len(layer) for layer in prefill.cache)
+        mrs.append(kept / (len(prefill.cache) * full_spans.total_len))
     non_increasing = all(a >= b for a, b in zip(mrs, mrs[1:]))
     _verdict(
         7, "mr arithmetic and monotone threshold sweep",

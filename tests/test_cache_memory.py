@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from sharpv.cache import KVCacheLayer, LayeredKVCache, Segment, SegmentedSequence
+from sharpv.cache import KVCacheLayer, Segment, SegmentedSequence
 from sharpv.decoder import Decoder, DecoderConfig
 from sharpv.errors import ShapeMismatchError
 from prefill_trace import traced_prefill
@@ -25,9 +25,15 @@ def make_layer(seq_len, heads=2, head_dim=4, visual=(2, 6), seed=0):
 
 
 def make_cache(layers, seq_len=10, visual=(2, 6)):
-    return LayeredKVCache(
-        layers=[make_layer(seq_len, visual=visual, seed=i) for i in range(layers)]
-    )
+    return [make_layer(seq_len, visual=visual, seed=i) for i in range(layers)]
+
+
+def entries(cache):
+    return sum(len(layer) for layer in cache)
+
+
+def payload_bytes(cache):
+    return sum(layer.nbytes() for layer in cache)
 
 
 def spans_for(seq_len=10, visual=(2, 6)):
@@ -75,7 +81,7 @@ class TestKVCacheLayer:
     def test_layers_sharing_arrays_write_separate_buffers(self):
         decoder = Decoder(DecoderConfig(layers=1, model_dim=8, heads=2, mlp_dim=16, vocab=16))
         embedded = np.random.default_rng(3).standard_normal((6, 8))
-        a = decoder.prefill(embedded, spans_for(6, visual=(1, 4))).cache.layers[0]
+        a = decoder.prefill(embedded, spans_for(6, visual=(1, 4))).cache[0]
         rng = np.random.default_rng(4)
         a.append(*rng.standard_normal((2, 2, 4)), Segment.GENERATED, position=6)
         b = reencode_positions(a)  # shares a's keys and values
@@ -90,6 +96,24 @@ class TestKVCacheLayer:
             assert np.array_equal(layer.values[:7], held[1])
             assert np.array_equal(layer.keys[7], row[0])
             assert np.array_equal(layer.values[7], row[1])
+
+    def test_prefill_layers_share_read_only_bookkeeping(self):
+        decoder = Decoder(DecoderConfig(layers=3, model_dim=8, heads=2, mlp_dim=16, vocab=16))
+        embedded = np.random.default_rng(7).standard_normal((6, 8))
+        spans = spans_for(6, visual=(1, 4))
+        cache = decoder.prefill(embedded, spans).cache
+        positions, tags = cache[0].position_ids, cache[0].segment_tags
+        for layer in cache:
+            assert layer.position_ids is positions and layer.segment_tags is tags
+        assert not positions.flags.writeable and not tags.flags.writeable
+        with pytest.raises(ValueError):
+            positions[0] = 1
+        decoder.decode_step(cache, decoder.embedding[3])
+        for layer in cache:
+            assert list(layer.position_ids) == list(range(7))
+            assert list(layer.segment_tags) == list(spans.tags()) + [Segment.GENERATED]
+        assert np.array_equal(positions, np.arange(6))
+        assert np.array_equal(tags, spans.tags())
 
     def test_appends_reallocate_logarithmically_often(self):
         n0, steps = 10, 256
@@ -108,9 +132,14 @@ class TestKVCacheLayer:
         layer.validate()
 
     def test_next_position_counts_entries(self):
-        layer = make_layer(5, visual=(1, 4))
-        assert layer.next_position() == 5
-        assert reencode_positions(apply_discard(layer)).next_position() == 2
+        # decode_step gives a new entry the position len(layer)
+        decoder = Decoder(DecoderConfig(layers=2, model_dim=8, heads=2, mlp_dim=16, vocab=16))
+        embedded = np.random.default_rng(6).standard_normal((5, 8))
+        cache = decoder.prefill(embedded, spans_for(5, visual=(1, 4))).cache
+        cache[1] = reencode_positions(apply_discard(cache[1]))
+        assert [len(layer) for layer in cache] == [5, 2]
+        decoder.decode_step(cache, decoder.embedding[0])
+        assert [layer.position_ids[-1] for layer in cache] == [5, 2]
 
     def test_validate_catches_non_increasing_positions(self):
         layer = make_layer(4)
@@ -135,8 +164,8 @@ class TestKVCacheLayer:
 
     def test_cache_totals(self):
         cache = make_cache(3, seq_len=10)
-        assert cache.total_entries() == 30
-        assert cache.total_bytes() == sum(l.nbytes() for l in cache.layers)
+        assert entries(cache) == 30
+        assert payload_bytes(cache) == 30 * 2 * (2 * 4 * 8)  # keys + values, float64
 
 
 class TestDegradationProfile:
@@ -234,7 +263,7 @@ class TestDiscardDecision:
         prefill, _, discarded = prefill_with_eviction(decoder, embedded, spans, -1.0)
         assert discarded == []
         full = decoder.prefill(embedded, spans).cache
-        for got, want in zip(prefill.cache.layers, full.layers):
+        for got, want in zip(prefill.cache, full):
             for field in ("keys", "values", "position_ids", "segment_tags"):
                 assert np.array_equal(getattr(got, field), getattr(want, field))
 
@@ -250,7 +279,7 @@ class TestDiscardDecision:
         prefill, sims, discarded = prefill_with_eviction(decoder, embedded, spans, 0.3)
         assert discarded == [l for l, sim in enumerate(sims) if sim < 0.3]
         assert discarded == [5, 6, 7]
-        assert [layer.segment_counts()["visual"] for layer in prefill.cache.layers] == [12] * 5 + [0] * 3
+        assert [layer.segment_counts()["visual"] for layer in prefill.cache] == [12] * 5 + [0] * 3
 
     def test_strict_inequality(self):
         decoder, embedded, spans = stage2_prompt()
@@ -266,7 +295,7 @@ class TestDiscardDecision:
             got, got_sims, got_discarded = prefill_with_eviction(decoder, embedded, spans, outside)
             want, sims, discarded = prefill_with_eviction(decoder, embedded, spans, edge)
             assert (got_sims, got_discarded) == (sims, discarded)
-            assert [len(layer) for layer in got.cache.layers] == [len(layer) for layer in want.cache.layers]
+            assert [len(layer) for layer in got.cache] == [len(layer) for layer in want.cache]
             assert 0 not in got_discarded
         assert got_discarded == []
 
@@ -276,7 +305,7 @@ class TestDiscardDecision:
         previous, previous_mr = set(), 1.0
         for m in sorted({-1.0, 0.0, 0.1, 0.2, 0.4, 1.0, *sims}):
             prefill, _, discarded = prefill_with_eviction(decoder, embedded, spans, m)
-            mr = prefill.cache.total_entries() / (8 * spans.total_len)
+            mr = entries(prefill.cache) / (8 * spans.total_len)
             assert previous <= set(discarded)
             assert mr <= previous_mr
             previous, previous_mr = set(discarded), mr
@@ -292,30 +321,30 @@ class TestApplyDiscard:
 
     def test_all_true_drops_exactly_visual(self):
         cache = make_cache(4, seq_len=10, visual=(2, 6))
-        bytes_before = cache.total_bytes()
-        out = LayeredKVCache([apply_discard(layer) for layer in cache.layers])
-        per_entry = cache.layers[0].keys[0].nbytes + cache.layers[0].values[0].nbytes
-        assert out.total_entries() == cache.total_entries() - 4 * 4
-        assert bytes_before - out.total_bytes() == 4 * 4 * per_entry
-        for layer in out.layers:
+        bytes_before = payload_bytes(cache)
+        out = [apply_discard(layer) for layer in cache]
+        per_entry = cache[0].keys[0].nbytes + cache[0].values[0].nbytes
+        assert entries(out) == entries(cache) - 4 * 4
+        assert bytes_before - payload_bytes(out) == 4 * 4 * per_entry
+        for layer in out:
             assert not (layer.segment_tags == Segment.VISUAL).any()
 
     def test_mixed_plan_counts(self):
         cache = make_cache(4, seq_len=10, visual=(2, 6))
         plan = [False, True, False, True]
-        out = [apply_discard(l) if d else l for d, l in zip(plan, cache.layers)]
+        out = [apply_discard(l) if d else l for d, l in zip(plan, cache)]
         expected = [10 if not d else 6 for d in plan]
         assert [len(l) for l in out] == expected
 
     def test_never_removes_text_or_generated(self):
         cache = make_cache(2, seq_len=10, visual=(2, 6))
-        cache.layers[0].append(
+        cache[0].append(
             np.zeros((2, 4)), np.zeros((2, 4)), Segment.GENERATED, position=10
         )
-        cache.layers[1].append(
+        cache[1].append(
             np.zeros((2, 4)), np.zeros((2, 4)), Segment.GENERATED, position=10
         )
-        for layer in cache.layers:
+        for layer in cache:
             counts = apply_discard(layer).segment_counts()
             assert counts["system"] == 2
             assert counts["instruction"] == 4
@@ -358,7 +387,7 @@ class TestReencode:
 
 def retained(before, after):
     """MR as the pipeline reports it: cache entries kept over entries held."""
-    return after.total_entries() / before.total_entries()
+    return entries(after) / entries(before)
 
 
 class TestMrMetric:
@@ -369,13 +398,13 @@ class TestMrMetric:
     def test_sixty_percent_visual_all_discarded(self):
         # 12 of 20 entries are visual; discarding them all leaves 8/20 = 0.4
         cache = make_cache(5, seq_len=20, visual=(4, 16))
-        after = LayeredKVCache([apply_discard(layer) for layer in cache.layers])
+        after = [apply_discard(layer) for layer in cache]
         assert retained(cache, after) == 0.4
 
     def test_mixed_plan_hand_count(self):
         cache = make_cache(4, seq_len=10, visual=(2, 6))
         plan = [False, True, False, True]
-        after = LayeredKVCache([apply_discard(l) if d else l for d, l in zip(plan, cache.layers)])
+        after = [apply_discard(l) if d else l for d, l in zip(plan, cache)]
         assert retained(cache, after) == (10 + 6 + 10 + 6) / 40
 
 
@@ -385,11 +414,11 @@ class TestMaskDiscard:
         # keeps, each at its rank among the kept rows
         cache = make_cache(3, seq_len=10, visual=(2, 6))
         plan = [True, False, True]
-        removed = [reencode_positions(apply_discard(l)) if d else l for d, l in zip(plan, cache.layers)]
-        for discard, src, rem in zip(plan, cache.layers, removed):
+        removed = [reencode_positions(apply_discard(l)) if d else l for d, l in zip(plan, cache)]
+        for discard, src, rem in zip(plan, cache, removed):
             keep = ~((src.segment_tags == Segment.VISUAL) & discard)
             ranks = np.cumsum(keep) - 1
             assert np.array_equal(ranks[keep], rem.position_ids)
             assert np.array_equal(src.keys[keep], rem.keys)
             assert int(keep.sum()) == len(rem)
-            assert rem.next_position() == int(keep.sum())
+            assert rem.position_ids[-1] + 1 == len(rem)  # a new entry continues the ids

@@ -260,6 +260,21 @@ class TestBench:
         lengths = [row["length"] for row in table["cache"]]
         assert lengths == [8, 16, 32]
 
+    @pytest.mark.parametrize("flags", [
+        ("--d", "0"),
+        ("--n", "-2", "--f", "-2"),  # n*f > 0 passes the budget and ladder checks
+        ("--scales", "0,1,2"),
+    ])
+    def test_bad_count_is_config_error(self, capsys, monkeypatch, flags):
+        def ran(*args, **kwargs):
+            raise AssertionError("bench started")
+
+        monkeypatch.setattr(cli.bench_mod, "run_bench", ran)
+        code, out, err = run_cli(capsys, "bench", *flags)
+        assert code == 2
+        assert out == ""
+        assert "must be >= 1" in err
+
     def test_short_ladder_rejected(self, capsys):
         code, _, _ = run_cli(capsys, "bench", "--scales", "1,2")
         assert code == 2

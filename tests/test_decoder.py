@@ -8,7 +8,7 @@ import pytest
 from prefill_trace import traced_prefill
 from reference_decoder import dense_layer, dense_prefill, gelu, layer_norm, softmax
 import sharpv.decoder
-from sharpv.cache import KVCacheLayer, LayeredKVCache, Segment, SegmentedSequence
+from sharpv.cache import KVCacheLayer, Segment, SegmentedSequence
 from sharpv.decoder import (
     _QUERY_BLOCK, Decoder, DecoderConfig, _causal_bias, _gelu, _layer_norm, init_decoder,
 )
@@ -78,7 +78,7 @@ class TestPrefill:
         decoder = Decoder(small_config())
         spans = SegmentedSequence(system_len=0, visual_len=1, instruction_len=0)
         res = decoder.prefill(np.ones((1, 8)), spans)
-        assert all(len(layer) == 1 for layer in res.cache.layers)
+        assert all(len(layer) == 1 for layer in res.cache)
         assert res.logits.shape == (16,)
 
     def test_trace_shapes_and_first_entry(self):
@@ -96,7 +96,7 @@ class TestPrefill:
         embedded = np.random.default_rng(1).standard_normal((6, 8))
         spans = SegmentedSequence(system_len=2, visual_len=2, instruction_len=2)
         cache = decoder.prefill(embedded, spans).cache
-        for layer in cache.layers:
+        for layer in cache:
             assert list(layer.position_ids) == [0, 1, 2, 3, 4, 5]
             assert list(layer.segment_tags) == [
                 Segment.SYSTEM, Segment.SYSTEM, Segment.VISUAL,
@@ -167,8 +167,8 @@ class TestPrefill:
 
         hooked = decoder.prefill(embedded, spans, layer_hook=keep_first_row)
         assert seen == [((7, 8), 7)] * 2
-        assert [len(layer) for layer in hooked.cache.layers] == [1, 1]
-        for got, full in zip(hooked.cache.layers, plain.cache.layers):
+        assert [len(layer) for layer in hooked.cache] == [1, 1]
+        for got, full in zip(hooked.cache, plain.cache):
             assert np.array_equal(got.keys, full.keys[:1])
         # the hook changes what is stored, never the forward pass
         assert np.array_equal(hooked.logits, plain.logits)
@@ -236,7 +236,7 @@ class TestQueryBlockEquivalence:
         assert np.abs(res.logits - want["logits"]).max() <= 1e-12
         assert np.array_equal(trace[0], want["trace"][0])
         tags = spans.tags()
-        for l, (lw, layer) in enumerate(zip(decoder.layers, res.cache.layers)):
+        for l, (lw, layer) in enumerate(zip(decoder.layers, res.cache)):
             # fed the decoder's own layer input, the oracle projects the
             # same keys and values bit for bit
             keys, values, out = dense_layer(decoder, lw, trace[l])
@@ -309,16 +309,16 @@ class TestNoAliasing:
         cache = decoder.prefill(embedded, spans).cache
         if evicted:  # layer 0 is kept as it is, 1-2 get take() copies
             source = cache
-            evicted_layers = [reencode_positions(apply_discard(l)) for l in source.layers[1:]]
-            cache = LayeredKVCache(source.layers[:1] + evicted_layers)
-            shared = [np.shares_memory(a.keys, b.keys) for a, b in zip(cache.layers, source.layers)]
+            evicted_layers = [reencode_positions(apply_discard(l)) for l in source[1:]]
+            cache = source[:1] + evicted_layers
+            shared = [np.shares_memory(a.keys, b.keys) for a, b in zip(cache, source)]
             assert shared == [True, False, False]
         fields = ("keys", "values", "position_ids", "segment_tags")
-        held = [[getattr(layer, f) for f in fields] for layer in cache.layers]
+        held = [[getattr(layer, f) for f in fields] for layer in cache]
         before = [[a.copy() for a in arrays] for arrays in held]
         for tok in (3, 5):
             decoder.decode_step(cache, decoder.embedding[tok])
-        for layer, arrays, snap in zip(cache.layers, held, before):
+        for layer, arrays, snap in zip(cache, held, before):
             n = len(snap[0])
             for f, arr, want in zip(fields, arrays, snap):
                 assert np.array_equal(arr, want)
@@ -334,7 +334,7 @@ class TestDecodeStep:
         logits, hidden = decoder.decode_step(cache, decoder.embedding[0])
         assert logits.shape == (16,)
         assert hidden.shape == (8,)
-        for layer in cache.layers:
+        for layer in cache:
             assert len(layer) == 6
             assert layer.segment_tags[-1] == Segment.GENERATED
             assert layer.position_ids[-1] == 5

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from prefill_trace import traced_prefill
+from sharpv import pipeline
 from sharpv.cache import Segment, SegmentedSequence
 from sharpv.decoder import Decoder, DecoderConfig
 from sharpv.memory import apply_discard, degradation_profile, reencode_positions
@@ -129,9 +130,9 @@ class TestDiscardInPipeline:
 
     def test_prefill_result_is_released_before_decode(self, monkeypatch):
         # At the first decode step only the evicted cache and a few
-        # prompt-sized (T, d) arrays (the assembled prompt, the kept visual
-        # tokens) may be alive. The L*T*d trace or the unevicted prefill
-        # cache (2*L*T*d) still referenced would each exceed that by far.
+        # prompt-sized (T, d) arrays may be alive. The L*T*d trace or the
+        # unevicted prefill cache (2*L*T*d) still referenced would each
+        # exceed that by far.
         decoder = toy_decoder()
         video, prompt = make_inputs(n=16, f=16)
         live = []
@@ -156,6 +157,30 @@ class TestDiscardInPipeline:
         assert report.cache_bytes_before > report.cache_bytes_after + 4 * row_bytes
         assert live[0] - base < report.cache_bytes_after + 4 * row_bytes
 
+    def test_prompt_is_released_before_decode(self, monkeypatch):
+        # perfbench's prefill_long input. At decode's entry the evicted
+        # cache (1.12 MiB, only layer 0 keeps its 1,063 rows) is live; the
+        # assembled prompt and the kept visual tokens (about 0.5 MiB each)
+        # took it to 2.20 MiB while run_pipeline still held them.
+        decoder = toy_decoder()
+        video, prompt = make_inputs(n=64, f=64, seed=0)
+        live = []
+        greedy = pipeline._greedy
+
+        def spy(*args):
+            live.append(tracemalloc.get_traced_memory()[0])
+            return greedy(*args)
+
+        monkeypatch.setattr(pipeline, "_greedy", spy)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            _, report = run_pipeline(decoder, video, prompt, PipelineConfig(decode_steps=8))
+        finally:
+            tracemalloc.stop()
+        assert report.discarded_layers == list(range(1, 8))
+        assert live[0] - base <= 1.5 * 2**20
+
     def test_prefill_peak_memory_on_long_prompt(self):
         # perfbench's prefill_long input. Prefill holds the layer input, its
         # q/k/v, the kept layer 0 and one query block's (H, 32, T) scores:
@@ -163,7 +188,7 @@ class TestDiscardInPipeline:
         # (T, mlp_dim) MLP temporaries took it to 6.98 MiB.
         decoder = toy_decoder()
         video, prompt = make_inputs(n=64, f=64, seed=0)
-        pruned = prune_video(video, PipelineConfig().pruner_config())
+        pruned = prune_video(video, PipelineConfig())
         embedded, spans = _assemble(prompt, pruned.tokens)
         assert spans.total_len == 1063
         tracemalloc.start()
@@ -202,14 +227,14 @@ class TestStreamedEviction:
         want_sims = [degradation_profile(states, embedded, spans) for states in trace]
         want_discarded = [l for l, sim in enumerate(want_sims) if sim < m]
         want = [reencode_positions(apply_discard(layer)) if l in want_discarded else layer
-                for l, layer in enumerate(full.cache.layers)]
+                for l, layer in enumerate(full.cache)]
 
         assert np.array_equal(sims, want_sims)
         assert discarded == want_discarded
         assert np.array_equal(streamed.logits, full.logits)
         assert np.array_equal(streamed.final_hidden, full.final_hidden)
         assert len(streamed.cache) == len(want)
-        for got, exp in zip(streamed.cache.layers, want):
+        for got, exp in zip(streamed.cache, want):
             for field in ("keys", "values", "position_ids", "segment_tags"):
                 assert np.array_equal(getattr(got, field), getattr(exp, field))
         if m == 1.0:  # every layer but the first is discarded

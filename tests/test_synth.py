@@ -1,8 +1,10 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
+import sharpv.cli as cli
 from sharpv.errors import ConfigError
 from sharpv.pruner import PrunerConfig, frame_thresholds, importance_maps, prune_video
 from sharpv.synth import (
@@ -14,7 +16,6 @@ from sharpv.synth import (
     gen_prompt_embeddings,
     gen_synthetic_video,
     parse_pattern,
-    pattern_to_string,
 )
 
 
@@ -48,8 +49,14 @@ class TestParse:
     @pytest.mark.parametrize("text", [
         "static", "uniform:0.5", "burst:1,3", "mixed:static@2+uniform:0.25@2",
     ])
-    def test_round_trip(self, text):
-        assert pattern_to_string(parse_pattern(text)) == text
+    def test_round_trip(self, text, capsys):
+        # the report echoes the pattern text as given; it parses back to
+        # the pattern the run used
+        assert cli.main(["run", "--pattern", text, "--n", "4", "--f", "4",
+                         "--decode-steps", "1"]) == 0
+        echoed = json.loads(capsys.readouterr().out)["config"]["pattern"]
+        assert echoed == text
+        assert parse_pattern(echoed) == parse_pattern(text)
 
 
 class TestGeneration:

@@ -1,4 +1,5 @@
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -79,6 +80,22 @@ class TestErrors:
         path.write_bytes(path.read_bytes() + b"xx")
         with pytest.raises(TensorFormatError):
             read_video(path)
+
+    def test_oversized_file_fails_before_its_payload_is_read(self, tmp_path):
+        # a valid 4-element header on a 64 MiB sparse file: the length
+        # check must come before any read of the payload
+        path = tmp_path / "big.svt"
+        with open(path, "wb") as fh:
+            fh.write(MAGIC + struct.pack("<3I", 1, 2, 2) + bytes(16))
+            fh.truncate(64 * 2**20)
+        tracemalloc.start()
+        try:
+            with pytest.raises(TensorFormatError, match="trailing data"):
+                read_video(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
     def test_zero_dimension(self, tmp_path):
         path = tmp_path / "bad.svt"

@@ -16,11 +16,16 @@ evicted entry is simply gone.
 
 Prefill never builds a (T, T) score array, and nothing per layer is
 larger than its (T, d) input, keys and values. Each layer first projects
-queries, keys and values for every row; then query block [i0, i1) of
-``_QUERY_BLOCK`` rows attends to its causal key prefix [0, i1) and runs
-the rest of the layer (output projection, residual, MLP) on its own rows
-while they are still in cache, writing them back into the layer input.
-The masked triangle beyond i1 is never computed. That prefix holds every
+queries, keys and values for every row, with the keys laid out once as
+one C-contiguous (H, head_dim, T) block, so each query block's scores
+are a plain matmul against a prefix slice of it. Then query block
+[i0, i1) of ``_QUERY_BLOCK`` rows attends to its causal key prefix
+[0, i1) and runs the rest of the layer (output projection, residual,
+MLP) on its own rows while they are still in cache, writing them back
+into the layer input. The last layer is different: only its final row's
+output is ever read (for the logits), so once its keys and values are
+cached it attends and runs the MLP for that one row alone. The masked
+triangle beyond i1 is never computed. That prefix holds every
 key the block's rows may read, so each row's softmax is exact as it
 stands: an online (running max/sum) softmax or key tiling would add
 nothing, as scores are already O(H * _QUERY_BLOCK * T). As in fused
@@ -113,7 +118,9 @@ class PrefillResult:
 
     cache: list[KVCacheLayer]
     logits: np.ndarray  # (vocab,) for the final position
-    final_hidden: np.ndarray  # (total_len, d), output of the last layer pre-norm
+    # (d,) last-layer output of the final position, before the final norm:
+    # the same contract as the hidden state decode_step returns
+    final_hidden: np.ndarray
 
 
 def _layer_norm(x: np.ndarray) -> np.ndarray:
@@ -225,16 +232,19 @@ class Decoder:
         return self._split_heads(q), self._split_heads(xn @ lw.wk), self._split_heads(xn @ lw.wv)
 
     def _attend(self, q, keys, values, bias) -> np.ndarray:
-        """Attention of (H, T, head_dim) pre-scaled queries over (H, S,
-        head_dim) keys/values under an additive (H, T, S) bias (-inf where a
-        key may not be read); returns (H, T, head_dim). The one attention
-        routine: prefill calls it per query block, decode_step once per layer.
+        """Attention of (H, T, head_dim) pre-scaled queries over (H,
+        head_dim, S) keys and (H, S, head_dim) values under an additive
+        (H, T, S) bias (-inf where a key may not be read); returns (H, T,
+        head_dim). The one attention routine: prefill calls it per query
+        block, decode_step once per layer. Keys come transposed, as the
+        right operand of ``q @ keys``, so prefill can pass prefix slices
+        of one contiguous block.
 
         The softmax is left unnormalised until after the values are mixed
         in: the row sums divide the (H, T, head_dim) output instead of the
         (H, T, S) weights, as fused attention kernels do.
         """
-        scores = q @ keys.transpose(0, 2, 1)
+        scores = q @ keys
         scores += bias  # only read: the prefill bias is a read-only view
         scores -= scores.max(axis=-1, keepdims=True)
         np.exp(scores, out=scores)
@@ -270,7 +280,10 @@ class Decoder:
         Each block of ``_QUERY_BLOCK`` query rows then attends over its
         causal key prefix, with its bias a view of one distance ramp built
         per pass, and finishes the layer for its rows in place; see the
-        module docstring.
+        module docstring. In the last layer, which the hook and the cache
+        still see whole, only the final row attends and runs the MLP: it
+        is the only row whose output is read, and ``final_hidden`` is its
+        (d,) state.
         """
         embedded = np.asarray(embedded, dtype=np.float64)
         if embedded.ndim != 2 or embedded.shape[1] != self.config.model_dim:
@@ -301,10 +314,14 @@ class Decoder:
         x = embedded.copy()
         for lw in self.layers:
             q, k, v = self._qkv(lw, x)
-            # (T, H, head_dim) views of the fresh, C-contiguous (T, d)
-            # projections: nothing else holds them, so no copy is needed.
+            # Keys laid out once as one C-contiguous (H, head_dim, T) block:
+            # every query block multiplies by a prefix of it whose rows are
+            # contiguous runs, not by a strided view of the (T, d) projection.
+            k = np.ascontiguousarray(k.transpose(0, 2, 1))
+            # (T, H, head_dim) views of the fresh key block and (T, d) value
+            # projection: nothing else holds them, so no copy is needed.
             layer = KVCacheLayer(
-                keys=k.transpose(1, 0, 2),
+                keys=k.transpose(2, 0, 1),
                 values=v.transpose(1, 0, 2),
                 position_ids=positions,
                 segment_tags=tags,
@@ -312,15 +329,19 @@ class Decoder:
             if layer_hook is not None:
                 layer = layer_hook(x, layer)
             cache.append(layer)
+            if len(cache) == len(self.layers):
+                break  # the last layer runs for the final row alone, below
             # A row's residual and MLP read only that row, and every key
             # and value exists already, so each block finishes its layer
             # and overwrites its own rows of x.
             for (i0, i1), bias in zip(blocks, biases):
-                attended = self._attend(q[:, i0:i1], k[:, :i1], v[:, :i1], bias)
+                attended = self._attend(q[:, i0:i1], k[:, :, :i1], v[:, :i1], bias)
                 x[i0:i1] = self._residual_mlp(lw, x[i0:i1], attended)
             del q, k, v  # not alive while the next layer projects its own
-        logits = _layer_norm(x[-1:])[0] @ self.w_out  # rows normalise independently
-        return PrefillResult(cache=cache, logits=logits, final_hidden=x)
+        attended = self._attend(q[:, -1:], k, v, _causal_bias(ramp, total - 1, total))
+        x = self._residual_mlp(lw, x[-1:], attended)  # (1, d)
+        logits = _layer_norm(x)[0] @ self.w_out
+        return PrefillResult(cache=cache, logits=logits, final_hidden=x[0])
 
     def decode_step(
         self, cache: list[KVCacheLayer], embedding: np.ndarray
@@ -354,8 +375,8 @@ class Decoder:
             layer.append(k[:, 0], v[:, 0], Segment.GENERATED, position=pos)
             bias = self.slopes[:, None, None] * (layer.position_ids - pos)  # (H, 1, S)
             np.maximum(bias, _BIAS_FLOOR, out=bias)
-            keys = layer.keys.transpose(1, 0, 2)  # (H, S, hd)
-            values = layer.values.transpose(1, 0, 2)
+            keys = layer.keys.transpose(1, 2, 0)  # (H, hd, S)
+            values = layer.values.transpose(1, 0, 2)  # (H, S, hd)
             x = self._residual_mlp(lw, x, self._attend(q, keys, values, bias))
         final_hidden = x[0].copy()
         logits = _layer_norm(x)[0] @ self.w_out

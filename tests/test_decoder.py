@@ -104,17 +104,76 @@ class TestPrefill:
             ]
 
     def test_causality(self):
-        # changing a later token must not move earlier final hidden states
+        # changing a later token must not move any layer's earlier entries,
+        # and must move its own entries and the final hidden state
         decoder = Decoder(small_config())
         rng = np.random.default_rng(2)
         embedded = rng.standard_normal((6, 8))
         spans = SegmentedSequence(system_len=1, visual_len=4, instruction_len=1)
-        before = decoder.prefill(embedded, spans).final_hidden
+        before = decoder.prefill(embedded, spans)
         changed = embedded.copy()
-        changed[5] += 1.0
-        after = decoder.prefill(changed, spans).final_hidden
-        assert np.allclose(before[:5], after[:5], atol=1e-12)
-        assert not np.allclose(before[5], after[5])
+        # one component: a shift of the whole row is removed by layer norm,
+        # so it would move no key or value
+        changed[5, 0] += 1.0
+        after = decoder.prefill(changed, spans)
+        for was, now in zip(before.cache, after.cache):
+            for field in ("keys", "values"):
+                old, new = getattr(was, field), getattr(now, field)
+                assert np.allclose(old[:5], new[:5], atol=1e-12)
+                assert not np.allclose(old[5], new[5])
+        assert not np.allclose(before.final_hidden, after.final_hidden)
+
+    def test_last_layer_runs_for_the_final_row_only(self, monkeypatch):
+        decoder = Decoder(DecoderConfig(layers=3, seed=3))
+        t = 2 * _QUERY_BLOCK + 5
+        embedded = np.random.default_rng(12).standard_normal((t, 64))
+        spans = SegmentedSequence(system_len=2, visual_len=t - 4, instruction_len=2)
+        rows = [0] * 3
+        residual_mlp = decoder._residual_mlp
+
+        def spy(lw, x, attended):
+            rows[next(l for l, w in enumerate(decoder.layers) if w is lw)] += x.shape[0]
+            return residual_mlp(lw, x, attended)
+
+        monkeypatch.setattr(decoder, "_residual_mlp", spy)
+        res = decoder.prefill(embedded, spans)
+        assert rows == [t, t, 1]
+        assert [len(layer) for layer in res.cache] == [t] * 3
+
+    def test_final_hidden_is_the_final_rows_state(self):
+        # the same (d,) contract as the hidden state decode_step returns
+        decoder = Decoder(DecoderConfig(layers=3, seed=4))
+        t = _QUERY_BLOCK + 3
+        embedded = np.random.default_rng(13).standard_normal((t, 64))
+        full = decoder.prefill(embedded, SegmentedSequence(0, t, 0))
+        cache = decoder.prefill(embedded[:-1], SegmentedSequence(0, t - 1, 0)).cache
+        logits, hidden = decoder.decode_step(cache, embedded[-1])
+        assert full.final_hidden.shape == hidden.shape == (64,)
+        assert np.abs(full.final_hidden - hidden).max() <= 1e-12
+        assert np.abs(full.logits - logits).max() <= 1e-12
+
+    def test_query_blocks_read_one_contiguous_key_block(self, monkeypatch):
+        # every prefill _attend call gets a [:, :, :i1] prefix of one
+        # C-contiguous (H, head_dim, T) array: each (head, channel) row of
+        # keys is a contiguous run
+        config = DecoderConfig(layers=2, seed=5)
+        decoder = Decoder(config)
+        t = 2 * _QUERY_BLOCK + 7
+        embedded = np.random.default_rng(14).standard_normal((t, 64))
+        seen = []
+        attend = decoder._attend
+
+        def spy(q, keys, values, bias):
+            seen.append((keys.shape, keys.strides, keys.flags.c_contiguous))
+            return attend(q, keys, values, bias)
+
+        monkeypatch.setattr(decoder, "_attend", spy)
+        decoder.prefill(embedded, SegmentedSequence(0, t, 0))
+        h, hd, item = config.heads, config.head_dim, embedded.itemsize
+        ends = [min(i0 + _QUERY_BLOCK, t) for i0 in range(0, t, _QUERY_BLOCK)]
+        assert [shape for shape, _, _ in seen] == [(h, hd, i1) for i1 in ends] + [(h, hd, t)]
+        assert all(strides == (hd * t * item, t * item, item) for _, strides, _ in seen)
+        assert all(full for shape, _, full in seen if shape[-1] == t)
 
     def test_position_overflow(self):
         config = DecoderConfig(
@@ -232,7 +291,9 @@ class TestQueryBlockEquivalence:
         res, trace = traced_prefill(decoder, embedded, spans)
         want = dense_prefill(decoder, embedded)
 
-        assert np.abs(res.final_hidden - want["final_hidden"]).max() <= 1e-12
+        # the last layer runs for the final row only
+        assert res.final_hidden.shape == (64,)
+        assert np.abs(res.final_hidden - want["final_hidden"][-1]).max() <= 1e-12
         assert np.abs(res.logits - want["logits"]).max() <= 1e-12
         assert np.array_equal(trace[0], want["trace"][0])
         tags = spans.tags()
@@ -244,8 +305,10 @@ class TestQueryBlockEquivalence:
             assert np.array_equal(layer.values, values)
             assert np.array_equal(layer.position_ids, np.arange(t))
             assert np.array_equal(layer.segment_tags, tags)
-            nxt = trace[l + 1] if l + 1 < len(trace) else res.final_hidden
-            assert np.abs(nxt - out).max() <= 1e-12
+            if l + 1 < len(trace):
+                assert np.abs(trace[l + 1] - out).max() <= 1e-12
+            else:
+                assert np.abs(res.final_hidden - out[-1]).max() <= 1e-12
 
 
 class TestKernels:
@@ -274,7 +337,7 @@ class TestKernels:
         bias[..., 0] = 0.0  # every row keeps a readable key
         bias[:, 1, 1:] = -np.inf  # row 1 reads key 0 alone
         want = softmax(q @ keys.transpose(0, 2, 1) + bias) @ values
-        got = decoder._attend(q, keys, values, bias)
+        got = decoder._attend(q, np.ascontiguousarray(keys.transpose(0, 2, 1)), values, bias)
         bound = 64 * np.finfo(np.float64).eps * np.abs(values).max()
         assert np.abs(got - want).max() <= bound
         assert np.array_equal(got[:, 1], values[:, 0])
@@ -293,6 +356,7 @@ class TestNoAliasing:
         rng = np.random.default_rng(8)
         t, h, hd = 40, decoder.config.heads, decoder.config.head_dim
         q, keys, values = (rng.standard_normal((h, t, hd)) for _ in range(3))
+        keys = np.ascontiguousarray(keys.transpose(0, 2, 1))  # (H, hd, S)
         dist = np.arange(t - 1, -t, -1)
         bias = _causal_bias(np.where(dist < 0, -np.inf, -decoder.slopes[:, None] * dist), 0, t)
         want = decoder._attend(q.copy(), keys.copy(), values.copy(), bias.copy())
@@ -383,7 +447,7 @@ class TestCacheConsistency:
         hidden = None
         for i in range(split, total):
             logits, hidden = decoder.decode_step(cache, embedded[i])
-        assert hidden == pytest.approx(full.final_hidden[-1], abs=1e-5)
+        assert hidden == pytest.approx(full.final_hidden, abs=1e-5)
         assert logits == pytest.approx(full.logits, abs=1e-5)
 
 

@@ -37,14 +37,28 @@ all. In prefill and decode alike, finite bias entries stop at
 ``_BIAS_FLOOR``, which binds only beyond distance 700/slope (2800 for
 head 0 at the default 4 heads).
 
+A decode step is one row per layer, so its cost is per-call overhead
+rather than arithmetic, and it is kept to few calls. Each layer's query,
+key and value projections are one (d, 3d) block, ``w_qkv``, which a
+decode step multiplies once; ``wq``, ``wk`` and ``wv`` are column views
+of it, which prefill multiplies separately, so that its cached keys and
+values pin no (T, 3d) product. The step builds one floored ramp of
+non-negative distances, (H, max len + 1), and each layer's (H, 1, len)
+bias is a basic slice of its tail: a layer's position ids are
+0..len-1, which ``decode_step`` checks before it appends anything. A
+one-row ``_layer_norm`` works on numpy scalars instead of keepdims
+arrays.
+
 Weight draw order (all values standard normal scaled by 1/sqrt(model_dim)):
-token embedding (vocab, d); per layer wq, wk, wv, wo (d, d), w_mlp_in
-(d, mlp_dim), w_mlp_out (mlp_dim, d); output head (d, vocab).
+token embedding (vocab, d); per layer wq, wk, wv (d, d), stored side by
+side as the columns of w_qkv, then wo (d, d), w_mlp_in (d, mlp_dim),
+w_mlp_out (mlp_dim, d); output head (d, vocab).
 """
 
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -103,12 +117,19 @@ class DecoderConfig:
 
 @dataclass(frozen=True)
 class LayerWeights:
-    wq: np.ndarray
-    wk: np.ndarray
-    wv: np.ndarray
+    w_qkv: np.ndarray  # (d, 3d): wq | wk | wv
     wo: np.ndarray
     w_mlp_in: np.ndarray
     w_mlp_out: np.ndarray
+
+    def _columns(self, i: int) -> np.ndarray:
+        d = self.wo.shape[0]
+        return self.w_qkv[:, i * d:(i + 1) * d]
+
+    # (d, d) column views of w_qkv, not copies
+    wq = property(lambda self: self._columns(0))
+    wk = property(lambda self: self._columns(1))
+    wv = property(lambda self: self._columns(2))
 
 
 @dataclass(frozen=True)
@@ -128,6 +149,12 @@ def _layer_norm(x: np.ndarray) -> np.ndarray:
     # divide) with x centred once and no Python-level wrappers; bit-identical
     # to (x - mean) / sqrt(var + eps).
     n = x.shape[-1]
+    if x.shape[0] == 1:
+        # One row, as in every decode-step call: the same sums, reduced to
+        # numpy scalars, cost about half as much as keepdims arrays.
+        xc = x - x.sum() / n
+        xc /= math.sqrt(np.square(xc).sum() / n + _LN_EPS)
+        return xc
     xc = x - x.sum(axis=-1, keepdims=True) / n
     var = np.square(xc).sum(axis=-1, keepdims=True) / n
     xc /= np.sqrt(var + _LN_EPS)
@@ -155,6 +182,16 @@ def _gelu(x: np.ndarray) -> np.ndarray:
 
 def _head_slopes(heads: int) -> np.ndarray:
     return 2.0 ** (-8.0 * np.arange(1, heads + 1) / heads)
+
+
+def _bias_ramp(slopes: np.ndarray, hi: int, lo: int) -> np.ndarray:
+    """(H, hi-lo+1) distance bias, column c for distance hi-c: -slope*r
+    floored at ``_BIAS_FLOOR``, or -inf for r < 0."""
+    dist = np.arange(hi, lo - 1, -1, dtype=np.int64)
+    ramp = np.maximum(-slopes[:, None] * dist, _BIAS_FLOOR)
+    if lo < 0:
+        ramp[:, dist < 0] = _MASKED
+    return ramp
 
 
 def _causal_bias(ramp: np.ndarray, i0: int, i1: int) -> np.ndarray:
@@ -186,10 +223,11 @@ class Decoder:
         self.embedding = rng.standard_normal((vocab, d)) * scale
         self.layers: list[LayerWeights] = []
         for _ in range(config.layers):
+            w_qkv = np.empty((d, 3 * d))
+            for i in range(3):  # wq, wk, wv, in draw order
+                w_qkv[:, i * d:(i + 1) * d] = rng.standard_normal((d, d)) * scale
             self.layers.append(LayerWeights(
-                wq=rng.standard_normal((d, d)) * scale,
-                wk=rng.standard_normal((d, d)) * scale,
-                wv=rng.standard_normal((d, d)) * scale,
+                w_qkv=w_qkv,
                 wo=rng.standard_normal((d, d)) * scale,
                 w_mlp_in=rng.standard_normal((d, mlp)) * scale,
                 w_mlp_out=rng.standard_normal((mlp, d)) * scale,
@@ -304,9 +342,7 @@ class Decoder:
         tags = spans.tags()
         positions.flags.writeable = False  # shared by every layer's cache
         tags.flags.writeable = False
-        dist = np.arange(total - 1, -total, -1, dtype=np.int64)  # T-1 down to 1-T
-        ramp = np.maximum(-self.slopes[:, None] * dist, _BIAS_FLOOR)  # (H, 2T-1)
-        ramp[:, dist < 0] = _MASKED
+        ramp = _bias_ramp(self.slopes, total - 1, 1 - total)  # (H, 2T-1)
         blocks = [(i0, min(i0 + _QUERY_BLOCK, total)) for i0 in range(0, total, _QUERY_BLOCK)]
         biases = [_causal_bias(ramp, i0, i1) for i0, i1 in blocks]  # read by every layer
 
@@ -353,7 +389,9 @@ class Decoder:
         A new entry's position id is its layer's entry count: a layer's ids
         are 0..len-1 (prefill numbers them so, and eviction re-encodes them
         so), and the count continues that coordinate system whether or not
-        the layer was evicted.
+        the layer was evicted. The bias is read off the layer's length, so
+        a layer whose last id is not len-1 (evicted, not re-encoded) raises
+        ValueError before any layer is appended to.
         """
         embedding = np.asarray(embedding, dtype=np.float64)
         if embedding.shape != (self.config.model_dim,):
@@ -364,20 +402,34 @@ class Decoder:
             raise ShapeMismatchError(
                 f"cache has {len(cache)} layers, decoder has {self.config.layers}"
             )
-        x = embedding[None, :].copy()  # (1, d)
-        for lw, layer in zip(self.layers, cache):
-            pos = len(layer)
-            if pos >= self.config.max_positions:
-                raise PositionOverflowError(
-                    f"position {pos} exceeds max_positions {self.config.max_positions}"
+        lens = [len(layer) for layer in cache]
+        for l, (n, layer) in enumerate(zip(lens, cache)):
+            if n and layer.position_ids[-1] != n - 1:
+                raise ValueError(
+                    f"layer {l} has {n} entries but last position id "
+                    f"{layer.position_ids[-1]}; re-encode it to 0..{n - 1} first"
                 )
-            q, k, v = self._qkv(lw, x)  # (H, 1, hd) each
-            layer.append(k[:, 0], v[:, 0], Segment.GENERATED, position=pos)
-            bias = self.slopes[:, None, None] * (layer.position_ids - pos)  # (H, 1, S)
-            np.maximum(bias, _BIAS_FLOOR, out=bias)
-            keys = layer.keys.transpose(1, 2, 0)  # (H, hd, S)
-            values = layer.values.transpose(1, 0, 2)  # (H, S, hd)
-            x = self._residual_mlp(lw, x, self._attend(q, keys, values, bias))
+        top = max(lens)  # the largest new position
+        if top >= self.config.max_positions:
+            raise PositionOverflowError(
+                f"position {top} exceeds max_positions {self.config.max_positions}"
+            )
+        # Column c holds the bias of distance top-c; a layer of n entries
+        # reads its last n+1 columns, distances n down to 0.
+        ramp = _bias_ramp(self.slopes, top, 0)[:, None]  # (H, 1, top+1)
+        d, heads = self.config.model_dim, self.config.heads
+        hd = d // heads
+        x = embedding[None, :].copy()  # (1, d)
+        for lw, layer, n in zip(self.layers, cache, lens):
+            qkv = (_layer_norm(x) @ lw.w_qkv)[0]  # (3d,)
+            q = qkv[:d].reshape(heads, 1, hd)
+            q *= self.inv_sqrt_hd
+            layer.append(qkv[d:2 * d].reshape(heads, hd), qkv[2 * d:].reshape(heads, hd),
+                         Segment.GENERATED, position=n)
+            keys = layer.keys.transpose(1, 2, 0)  # (H, hd, n+1)
+            values = layer.values.transpose(1, 0, 2)  # (H, n+1, hd)
+            attended = self._attend(q, keys, values, ramp[..., top - n:])
+            x = self._residual_mlp(lw, x, attended)
         final_hidden = x[0].copy()
         logits = _layer_norm(x)[0] @ self.w_out
         return logits, final_hidden

@@ -141,6 +141,24 @@ class TestKVCacheLayer:
         decoder.decode_step(cache, decoder.embedding[0])
         assert [layer.position_ids[-1] for layer in cache] == [5, 2]
 
+    def test_decode_rejects_a_layer_not_reencoded(self):
+        # the decode bias is read off a layer's length, so its ids must be
+        # 0..len-1; an evicted layer keeps gapped ids until re-encoded
+        decoder = Decoder(DecoderConfig(layers=2, model_dim=8, heads=2, mlp_dim=16, vocab=16))
+        embedded = np.random.default_rng(6).standard_normal((5, 8))
+        cache = decoder.prefill(embedded, spans_for(5, visual=(1, 4))).cache
+        cache[1] = apply_discard(cache[1])
+        assert list(cache[1].position_ids) == [0, 4]
+        keys = [layer.keys for layer in cache]
+        with pytest.raises(ValueError, match="layer 1 has 2 entries but last position id 4"):
+            decoder.decode_step(cache, decoder.embedding[0])
+        # nothing was appended, not even to layer 0
+        assert all(layer.keys is k for layer, k in zip(cache, keys))
+        assert [len(layer) for layer in cache] == [5, 2]
+        cache[1] = reencode_positions(cache[1])
+        decoder.decode_step(cache, decoder.embedding[0])
+        assert [layer.position_ids[-1] for layer in cache] == [5, 2]
+
     def test_validate_catches_non_increasing_positions(self):
         layer = make_layer(4)
         layer.position_ids = np.array([0, 1, 1, 2], dtype=np.int64)
@@ -349,6 +367,22 @@ class TestApplyDiscard:
             assert counts["system"] == 2
             assert counts["instruction"] == 4
             assert counts["generated"] == 1
+
+    def test_prefill_layer_evicts_like_a_contiguous_copy(self):
+        # prefill's keys are a strided view of its (H, head_dim, T) block
+        decoder = Decoder(DecoderConfig(layers=2, seed=3))
+        embedded = np.random.default_rng(12).standard_normal((70, 64))
+        layer = decoder.prefill(embedded, spans_for(70, visual=(4, 62))).cache[0]
+        assert not layer.keys.flags.c_contiguous
+        copy = KVCacheLayer(*(np.ascontiguousarray(getattr(layer, f)) for f in
+                              ("keys", "values", "position_ids", "segment_tags")))
+        out, want = apply_discard(layer), apply_discard(copy)
+        assert len(out) == 12
+        for f in ("keys", "values", "position_ids", "segment_tags"):
+            got = getattr(out, f)
+            assert np.array_equal(got, getattr(want, f))
+            assert got.flags.c_contiguous and got.flags.owndata
+            assert not np.shares_memory(got, getattr(layer, f))
 
     def test_source_cache_untouched(self):
         layer = make_layer(10)

@@ -19,6 +19,8 @@ GOLDEN_DIR = Path(__file__).parent / "golden"
 
 # Pinned at first build; any change to the weight draw order or scaling breaks it.
 SMALL_DECODER_CHECKSUM = "639b4d558c387900c058f4694b4432f0272bb59ca430433ea3fdc9e607bd7733"
+# The default decoder, the one every workload and golden runs.
+DEFAULT_DECODER_CHECKSUM = "3c884aa47e3a05ab8d6d2f14fc3ca8c10048b6bc70f294e6f2d3bf72353e478c"
 
 
 def small_config(seed=42):
@@ -71,6 +73,18 @@ class TestDeterminism:
 
     def test_golden_checksum(self):
         assert init_decoder(small_config()).weight_checksum() == SMALL_DECODER_CHECKSUM
+
+    def test_default_config_checksum(self):
+        assert init_decoder(DecoderConfig()).weight_checksum() == DEFAULT_DECODER_CHECKSUM
+
+    def test_qkv_projections_are_views_of_one_block(self):
+        decoder = Decoder(small_config())
+        d = decoder.config.model_dim
+        for lw in decoder.layers:
+            assert lw.w_qkv.shape == (d, 3 * d)
+            for i, w in enumerate((lw.wq, lw.wk, lw.wv)):
+                assert w.base is lw.w_qkv
+                assert np.array_equal(w, lw.w_qkv[:, i * d:(i + 1) * d])
 
 
 class TestPrefill:
@@ -324,6 +338,17 @@ class TestKernels:
         x = scale * (rng.standard_normal((t, 64)) + rng.standard_normal(64))
         assert np.array_equal(_layer_norm(x), layer_norm(x))
 
+    def test_one_row_layer_norm_matches_many_row_path(self):
+        # decode normalises one row at a time, through numpy scalars
+        rng = np.random.default_rng(13)
+        for scale in 10.0 ** np.arange(-3, 4):
+            x = scale * (rng.standard_normal((500, 64)) + rng.standard_normal(64))
+            many = _layer_norm(x)
+            for i in range(len(x)):
+                assert np.array_equal(_layer_norm(x[i:i + 1]), many[i:i + 1])
+        constant = np.full((2, 64), 3.7)
+        assert np.array_equal(_layer_norm(constant[:1]), _layer_norm(constant)[:1])
+
     @pytest.mark.parametrize("s", [1, 97, 1000])
     def test_attend_matches_textbook_softmax_with_masked_entries(self, s):
         # The bound was fixed before the first run: 64 eps * max|values|.
@@ -418,6 +443,35 @@ class TestDecodeStep:
             return tokens
 
         assert run() == run()
+
+    def test_bias_is_the_floored_distance_of_each_layers_ids(self, monkeypatch):
+        # Layers of different lengths read different slices of one ramp;
+        # at length 2900 the floor binds for head 0 (slope 0.25).
+        decoder = Decoder(DecoderConfig(layers=3))
+        h, hd = decoder.config.heads, decoder.config.head_dim
+        rng = np.random.default_rng(14)
+        cache = [
+            KVCacheLayer(keys=rng.standard_normal((n, h, hd)),
+                         values=rng.standard_normal((n, h, hd)),
+                         position_ids=np.arange(n, dtype=np.int64),
+                         segment_tags=np.zeros(n, dtype=np.uint8))
+            for n in (2900, 1, 37)
+        ]
+        biases = []
+        attend = decoder._attend
+
+        def spy(q, keys, values, bias):
+            biases.append(bias)
+            return attend(q, keys, values, bias)
+
+        monkeypatch.setattr(decoder, "_attend", spy)
+        decoder.decode_step(cache, decoder.embedding[1])
+        assert biases[0].min() == sharpv.decoder._BIAS_FLOOR
+        for layer, bias in zip(cache, biases):
+            pos = layer.position_ids[-1]
+            want = np.maximum(decoder.slopes[:, None, None] * (layer.position_ids - pos),
+                              sharpv.decoder._BIAS_FLOOR)
+            assert np.array_equal(bias, want)
 
     def test_position_overflow(self):
         config = DecoderConfig(

@@ -4,7 +4,10 @@ Two tables: median visual-scoring wall time over a token-count ladder
 (the scoring pass is linear in n*f*d, so doubling either axis should at
 most double the median, plus timer noise), and KV-cache payload bytes
 over a retained-length ladder (exactly linear by layout arithmetic,
-measured on real prefill caches rather than asserted).
+measured on real prefill caches rather than asserted). ``run_bench``
+builds both from one base size and a ladder of scales and checks all of
+its inputs first, so `sharpv bench` only parses its flags, calls it and
+prints the tables.
 """
 
 from __future__ import annotations
@@ -18,12 +21,14 @@ from .cache import SegmentedSequence
 from .decoder import Decoder, DecoderConfig
 from .errors import ConfigError
 from .pruner import PrunerConfig, VideoTokens, prune_video
+from .tensorio import MAX_ELEMENTS
 
 DEFAULT_SCALES = (1, 2, 4)
+DEFAULT_REPEATS = 20
 
 
 def scoring_cost_scaling(
-    sizes: list[tuple[int, int, int]], repeats: int = 20, seed: int = 0
+    sizes: list[tuple[int, int, int]], repeats: int = DEFAULT_REPEATS, seed: int = 0
 ) -> list[dict]:
     """Median wall-time of the full scoring+selection pass per (n, f, d) size.
 
@@ -69,56 +74,30 @@ def scoring_cost_scaling(
     ]
 
 
-def scoring_table(
-    n: int, f: int, d: int, scales=DEFAULT_SCALES, repeats: int = 20, seed: int = 0
-) -> list:
-    """Median prune-scoring time per size; tokens-per-frame carries the scale."""
-    if len(scales) < 3:
-        raise ConfigError(f"need a ladder of >= 3 sizes, got {len(scales)}")
-    if any(int(s) < 1 for s in scales):
-        raise ConfigError(f"scales must be positive integers, got {scales!r}")
-    sizes = [(n, f * int(s), d) for s in scales]
-    rows = scoring_cost_scaling(sizes, repeats=repeats, seed=seed)
-    base = rows[0]["median_seconds"]
-    for row, scale in zip(rows, scales):
-        row["scale"] = int(scale)
-        row["ratio_to_base"] = row["median_seconds"] / base if base > 0 else float("nan")
-    return rows
-
-
-def check_cache_lengths(lengths) -> list[int]:
-    """The cache ladder as ints; ConfigError unless it holds >= 2 lengths,
-    each from 1 to the decoder's default max_positions. Each length is one
-    real prefill, at 8 KiB of cache per token."""
+def cache_bytes_table(lengths) -> list:
+    """KV payload bytes after prefilling random sequences of each length
+    through the default decoder. ConfigError, before the decoder is built,
+    unless the ladder holds >= 2 lengths, each from 1 to max_positions:
+    each length is one real prefill, at 8 KiB of cache per token."""
     lengths = [int(x) for x in lengths]
     if len(lengths) < 2 or any(x < 1 for x in lengths):
         raise ConfigError(f"need >= 2 positive lengths, got {lengths!r}")
-    limit = DecoderConfig().max_positions
-    if max(lengths) > limit:
+    config = DecoderConfig()
+    if max(lengths) > config.max_positions:
         raise ConfigError(
-            f"cache ladder length {max(lengths)} exceeds max_positions {limit}"
+            f"cache ladder length {max(lengths)} exceeds max_positions {config.max_positions}"
         )
-    return lengths
-
-
-def cache_bytes_table(lengths, layers: int = 8, model_dim: int = 64, heads: int = 4) -> list:
-    """KV payload bytes after prefilling random sequences of each length."""
-    lengths = check_cache_lengths(lengths)
-    config = DecoderConfig(
-        layers=layers, model_dim=model_dim, heads=heads,
-        mlp_dim=4 * model_dim, vocab=64, seed=0,
-    )
     decoder = Decoder(config)
     rng = np.random.default_rng(0)
     rows = []
     for length in lengths:
-        embedded = rng.standard_normal((length, model_dim))
+        embedded = rng.standard_normal((length, config.model_dim))
         spans = SegmentedSequence(system_len=0, visual_len=length, instruction_len=0)
         nbytes = sum(layer.nbytes() for layer in decoder.prefill(embedded, spans).cache)
         rows.append({
             "length": length,
             "bytes": nbytes,
-            "bytes_per_entry": nbytes // (length * layers),
+            "bytes_per_entry": nbytes // (length * config.layers),
         })
     return rows
 
@@ -130,11 +109,33 @@ def cache_bytes_linear(rows) -> bool:
 
 
 def run_bench(
-    n: int, f: int, d: int, scales=DEFAULT_SCALES, repeats: int = 20, seed: int = 0
+    n: int, f: int, d: int, scales=DEFAULT_SCALES, repeats: int = DEFAULT_REPEATS,
+    seed: int = 0,
 ) -> dict:
-    scoring = scoring_table(n, f, d, scales=scales, repeats=repeats, seed=seed)
-    base_len = n * f
-    cache_rows = cache_bytes_table([base_len * int(s) for s in scales])
+    """Both ladders for an (n, f, d) base size: scoring time at (n, f*s, d)
+    and cache bytes at length n*f*s, for each scale s. Every input is
+    checked, with ConfigError, before any scoring or prefill starts; the
+    cache ladder is checked by ``cache_bytes_table``, which runs first."""
+    scales = [int(s) for s in scales]
+    if len(scales) < 3:
+        raise ConfigError(f"need a ladder of >= 3 sizes, got {len(scales)}")
+    if min(n, f, d, repeats, *scales) < 1:
+        raise ConfigError(
+            f"n, f, d, repeats and every scale must be >= 1, got n={n} f={f} "
+            f"d={d} repeats={repeats} scales={scales}"
+        )
+    # the largest scale's scoring input is allocated whole
+    if n * f * max(scales) * d > MAX_ELEMENTS:
+        raise ConfigError(
+            f"n*f*max(scales)*d = {n * f * max(scales) * d} exceeds "
+            f"the element budget of {MAX_ELEMENTS}"
+        )
+    cache_rows = cache_bytes_table([n * f * s for s in scales])
+    scoring = scoring_cost_scaling([(n, f * s, d) for s in scales], repeats=repeats, seed=seed)
+    base = scoring[0]["median_seconds"]
+    for row, scale in zip(scoring, scales):
+        row["scale"] = scale
+        row["ratio_to_base"] = row["median_seconds"] / base if base > 0 else float("nan")
     return {
         "scoring": scoring,
         "cache": cache_rows,

@@ -14,6 +14,12 @@ The config file is a flat JSON object; unknown keys are rejected. Keys
 without a flag (system_len, instruction_len, layers, heads, mlp_dim,
 vocab, max_positions, decoder_seed) are settable only via the file.
 
+The harness only parses arguments, calls the library and emits. Decoder
+and pipeline defaults are ``DecoderConfig``'s and ``PipelineConfig``'s,
+and the bench ladder's defaults and input checks are in ``bench``. The
+video and prompt defaults (pattern, n, f, seed, prompt lengths) live
+here, their only user.
+
 Exit codes: 0 success, 2 configuration error, 3 I/O or file-format
 error, 4 report invariant violation.
 """
@@ -39,13 +45,14 @@ from .errors import (
     TensorFormatError,
 )
 from .pipeline import PipelineConfig, PromptEmbeddings, run_pipeline
+from .pruner import VideoTokens
 from .synth import (
     SyntheticVideoSpec,
     gen_prompt_embeddings,
     gen_synthetic_video,
     parse_pattern,
 )
-from .tensorio import MAX_ELEMENTS, read_video, write_video
+from .tensorio import read_video, write_video
 
 
 @dataclass(frozen=True)
@@ -53,21 +60,21 @@ class HarnessConfig:
     pattern: str = "uniform:0.5"
     n: int = 8
     f: int = 16
-    d: int = 64
+    d: int = DecoderConfig.model_dim
     seed: int = 42
-    mode: str = "adaptive"
-    w: float = 1.0
-    k: float = 1.6
-    m: float = 0.2
-    decode_steps: int = 16
+    mode: str = PipelineConfig.mode
+    w: float = PipelineConfig.spatial_weight
+    k: float = PipelineConfig.manual_threshold
+    m: float = PipelineConfig.degradation_threshold
+    decode_steps: int = PipelineConfig.decode_steps
     system_len: int = 4
     instruction_len: int = 8
-    layers: int = 8
-    heads: int = 4
-    mlp_dim: int = 256
-    vocab: int = 256
-    max_positions: int = 8192
-    decoder_seed: int = 0
+    layers: int = DecoderConfig.layers
+    heads: int = DecoderConfig.heads
+    mlp_dim: int = DecoderConfig.mlp_dim
+    vocab: int = DecoderConfig.vocab
+    max_positions: int = DecoderConfig.max_positions
+    decoder_seed: int = DecoderConfig.seed
 
     def __post_init__(self):
         if self.seed < 0 or self.decoder_seed < 0:
@@ -123,16 +130,19 @@ def _emit(text: str, out_path) -> None:
             fh.write(text + "\n")
 
 
+def _synthetic_video(cfg: HarnessConfig) -> VideoTokens:
+    return gen_synthetic_video(SyntheticVideoSpec(
+        n=cfg.n, f=cfg.f, d=cfg.d, seed=cfg.seed, pattern=parse_pattern(cfg.pattern)
+    ))
+
+
 def cmd_run(args: argparse.Namespace) -> int:
     cfg = resolve_config(args)
     if args.in_path is not None:
         video = read_video(args.in_path)
         cfg = HarnessConfig(**{**asdict(cfg), "n": video.n, "f": video.f, "d": video.d})
     else:
-        spec = SyntheticVideoSpec(
-            n=cfg.n, f=cfg.f, d=cfg.d, seed=cfg.seed, pattern=parse_pattern(cfg.pattern)
-        )
-        video = gen_synthetic_video(spec)
+        video = _synthetic_video(cfg)
     system, instruction = gen_prompt_embeddings(
         cfg.seed, cfg.system_len, cfg.instruction_len, cfg.d
     )
@@ -156,10 +166,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
     if args.out_path is None:
         raise ConfigError("gen requires --out")
     cfg = resolve_config(args)
-    spec = SyntheticVideoSpec(
-        n=cfg.n, f=cfg.f, d=cfg.d, seed=cfg.seed, pattern=parse_pattern(cfg.pattern)
-    )
-    video = gen_synthetic_video(spec)
+    video = _synthetic_video(cfg)
     write_video(args.out_path, video)
     _emit(json.dumps({
         "written": args.out_path, "n": video.n, "f": video.f, "d": video.d,
@@ -174,20 +181,6 @@ def cmd_bench(args: argparse.Namespace) -> int:
         scales = tuple(int(s) for s in args.scales.split(","))
     except ValueError as exc:
         raise ConfigError(f"--scales must be comma-separated integers: {exc}") from exc
-    if args.repeats < 1:
-        raise ConfigError(f"--repeats must be >= 1, got {args.repeats}")
-    if min(cfg.n, cfg.f, cfg.d) < 1 or min(scales) < 1:
-        raise ConfigError(
-            f"n, f, d and every scale must be >= 1, got n={cfg.n} f={cfg.f} "
-            f"d={cfg.d} scales={list(scales)}"
-        )
-    # the largest scale's scoring input is allocated whole
-    if cfg.n * cfg.f * max(scales) * cfg.d > MAX_ELEMENTS:
-        raise ConfigError(
-            f"n*f*max(scales)*d = {cfg.n * cfg.f * max(scales) * cfg.d} exceeds "
-            f"the element budget of {MAX_ELEMENTS}"
-        )
-    bench_mod.check_cache_lengths([cfg.n * cfg.f * s for s in scales])
     table = bench_mod.run_bench(
         cfg.n, cfg.f, cfg.d, scales=scales, repeats=args.repeats, seed=cfg.seed
     )
@@ -202,13 +195,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, video_flags=True, prune_flags=True):
-        if video_flags:
-            p.add_argument("--pattern", help="static | uniform:RATE | burst:I,J | mixed:SEG+SEG")
-            p.add_argument("--n", type=int, help="frame count")
-            p.add_argument("--f", type=int, help="tokens per frame")
-            p.add_argument("--d", type=int, help="embedding dimension")
-            p.add_argument("--seed", type=int, help="generation seed")
+    def common(p, prune_flags=True):
+        p.add_argument("--pattern", help="static | uniform:RATE | burst:I,J | mixed:SEG+SEG")
+        p.add_argument("--n", type=int, help="frame count")
+        p.add_argument("--f", type=int, help="tokens per frame")
+        p.add_argument("--d", type=int, help="embedding dimension")
+        p.add_argument("--seed", type=int, help="generation seed")
         if prune_flags:
             p.add_argument("--mode", choices=("adaptive", "manual"))
             p.add_argument("--w", type=float, help="spatial weight in combined importance")
@@ -229,8 +221,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     bench_p = sub.add_parser("bench", help="scaling tables for scoring time and cache bytes")
     common(bench_p, prune_flags=False)
-    bench_p.add_argument("--scales", default="1,2,4", help="comma-separated size multipliers")
-    bench_p.add_argument("--repeats", type=int, default=20, help="timing repetitions per size")
+    bench_p.add_argument("--scales", default=",".join(map(str, bench_mod.DEFAULT_SCALES)),
+                         help="comma-separated size multipliers")
+    bench_p.add_argument("--repeats", type=int, default=bench_mod.DEFAULT_REPEATS,
+                         help="timing repetitions per size")
     bench_p.set_defaults(handler=cmd_bench)
     return parser
 

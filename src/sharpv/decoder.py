@@ -343,12 +343,15 @@ class Decoder:
         positions.flags.writeable = False  # shared by every layer's cache
         tags.flags.writeable = False
         ramp = _bias_ramp(self.slopes, total - 1, 1 - total)  # (H, 2T-1)
+        # (i0, i1, bias) per query block: the plan of every layer but the
+        # last, which runs for the final row alone
         blocks = [(i0, min(i0 + _QUERY_BLOCK, total)) for i0 in range(0, total, _QUERY_BLOCK)]
-        biases = [_causal_bias(ramp, i0, i1) for i0, i1 in blocks]  # read by every layer
+        plan = [(i0, i1, _causal_bias(ramp, i0, i1)) for i0, i1 in blocks]
+        last = [(total - 1, total, _causal_bias(ramp, total - 1, total))]
 
         cache = []
         x = embedded.copy()
-        for lw in self.layers:
+        for l, lw in enumerate(self.layers):
             q, k, v = self._qkv(lw, x)
             # Keys laid out once as one C-contiguous (H, head_dim, T) block:
             # every query block multiplies by a prefix of it whose rows are
@@ -365,19 +368,15 @@ class Decoder:
             if layer_hook is not None:
                 layer = layer_hook(x, layer)
             cache.append(layer)
-            if len(cache) == len(self.layers):
-                break  # the last layer runs for the final row alone, below
             # A row's residual and MLP read only that row, and every key
             # and value exists already, so each block finishes its layer
             # and overwrites its own rows of x.
-            for (i0, i1), bias in zip(blocks, biases):
+            for i0, i1, bias in (plan if l < len(self.layers) - 1 else last):
                 attended = self._attend(q[:, i0:i1], k[:, :, :i1], v[:, :i1], bias)
                 x[i0:i1] = self._residual_mlp(lw, x[i0:i1], attended)
             del q, k, v  # not alive while the next layer projects its own
-        attended = self._attend(q[:, -1:], k, v, _causal_bias(ramp, total - 1, total))
-        x = self._residual_mlp(lw, x[-1:], attended)  # (1, d)
-        logits = _layer_norm(x)[0] @ self.w_out
-        return PrefillResult(cache=cache, logits=logits, final_hidden=x[0])
+        logits = _layer_norm(x[-1:])[0] @ self.w_out
+        return PrefillResult(cache=cache, logits=logits, final_hidden=x[-1].copy())
 
     def decode_step(
         self, cache: list[KVCacheLayer], embedding: np.ndarray

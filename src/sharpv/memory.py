@@ -88,14 +88,11 @@ def apply_discard(layer: KVCacheLayer) -> KVCacheLayer:
     the input layer and its arrays are left intact.
     """
     keep = np.flatnonzero(layer.segment_tags != _VISUAL)
-    # take() costs less per call than fancy indexing, but copies a
-    # non-contiguous input whole first, as prefill's keys (a strided view
-    # of its (H, head_dim, T) block) are; indexing them copies kept rows only.
     return KVCacheLayer(
         keys=layer.keys[keep],
-        values=layer.values.take(keep, axis=0),
-        position_ids=layer.position_ids.take(keep),
-        segment_tags=layer.segment_tags.take(keep),
+        values=layer.values[keep],
+        position_ids=layer.position_ids[keep],
+        segment_tags=layer.segment_tags[keep],
     )
 
 

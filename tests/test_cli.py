@@ -5,8 +5,10 @@ import sys
 import pytest
 
 import sharpv.cli as cli
-from sharpv.decoder import DecoderConfig
+from sharpv.decoder import Decoder, DecoderConfig
 from sharpv.errors import ConfigError, InvariantViolation
+from sharpv.pipeline import PipelineConfig, PromptEmbeddings, run_pipeline
+from sharpv.synth import SyntheticVideoSpec, gen_prompt_embeddings, gen_synthetic_video, parse_pattern
 from sharpv.tensorio import read_video
 
 
@@ -20,6 +22,16 @@ def run_report(capsys, *argv):
     code, out, err = run_cli(capsys, "run", *argv)
     assert code == 0, err
     return json.loads(out)
+
+
+def forbid_bench_work(monkeypatch):
+    """Make any bench scoring pass or decoder build (for the cache
+    ladder's prefills) fail the test."""
+    def started(*args, **kwargs):
+        raise AssertionError("bench started")
+
+    monkeypatch.setattr(cli.bench_mod, "scoring_cost_scaling", started)
+    monkeypatch.setattr(cli.bench_mod, "Decoder", started)
 
 
 class TestRun:
@@ -60,6 +72,23 @@ class TestRun:
         for key in ("ttft_seconds", "tpot_seconds"):
             a.pop(key), b.pop(key)
         assert a == b
+
+    def test_flagless_run_uses_library_defaults(self, capsys):
+        # the CLI's defaults for the decoder and pipeline are the library's
+        report = run_report(capsys)
+        cfg = cli.HarnessConfig()
+        video = gen_synthetic_video(SyntheticVideoSpec(
+            n=cfg.n, f=cfg.f, d=cfg.d, seed=cfg.seed, pattern=parse_pattern(cfg.pattern)
+        ))
+        prompt = PromptEmbeddings(*gen_prompt_embeddings(
+            cfg.seed, cfg.system_len, cfg.instruction_len, cfg.d
+        ))
+        _, expected = run_pipeline(Decoder(DecoderConfig()), video, prompt, PipelineConfig())
+        expected = expected.comparable_dict()
+        for key in ("ttft_seconds", "tpot_seconds", "config"):
+            report.pop(key)
+        expected.pop("config")
+        assert report == json.loads(json.dumps(expected))
 
     def test_run_from_tensor_file(self, capsys, tmp_path):
         path = tmp_path / "v.svt"
@@ -150,10 +179,7 @@ class TestExitCodes:
         # n*f*max(scales) = 4,194,304 tokens is within the element budget at
         # d=64, but its cache ladder would prefill a ~34 GB cache; it is
         # rejected before any scoring or prefill starts.
-        def ran(*args, **kwargs):
-            raise AssertionError("bench started")
-
-        monkeypatch.setattr(cli.bench_mod, "run_bench", ran)
+        forbid_bench_work(monkeypatch)
         out = tmp_path / "out"
         code, stdout, err = run_cli(
             capsys, "bench", "--n", "1024", "--f", "1024", "--d", "64",
@@ -266,10 +292,7 @@ class TestBench:
         ("--scales", "0,1,2"),
     ])
     def test_bad_count_is_config_error(self, capsys, monkeypatch, flags):
-        def ran(*args, **kwargs):
-            raise AssertionError("bench started")
-
-        monkeypatch.setattr(cli.bench_mod, "run_bench", ran)
+        forbid_bench_work(monkeypatch)
         code, out, err = run_cli(capsys, "bench", *flags)
         assert code == 2
         assert out == ""
@@ -278,6 +301,23 @@ class TestBench:
     def test_short_ladder_rejected(self, capsys):
         code, _, _ = run_cli(capsys, "bench", "--scales", "1,2")
         assert code == 2
+
+    @pytest.mark.parametrize("args, kwargs", [
+        ((2, 4, 16), {"scales": (1, 2)}),
+        ((0, 4, 16), {}),
+        ((2, 0, 16), {}),
+        ((2, 4, 0), {}),
+        ((-2, -2, 16), {}),
+        ((2, 4, 16), {"repeats": 0}),
+        ((2, 4, 16), {"scales": (1, 0, 2)}),
+        ((10_000_000, 10_000_000, 64), {}),
+        ((1024, 1024, 64), {}),
+    ], ids=["short-ladder", "n", "f", "d", "negative-n-f", "repeats", "scale",
+            "element-budget", "max-positions"])
+    def test_run_bench_checks_every_input_before_any_work(self, monkeypatch, args, kwargs):
+        forbid_bench_work(monkeypatch)
+        with pytest.raises(ConfigError):
+            cli.bench_mod.run_bench(*args, **kwargs)
 
     def test_cache_ladder_over_max_positions_rejected(self, monkeypatch):
         def built(config):

@@ -74,19 +74,25 @@ def scoring_cost_scaling(
     ]
 
 
-def cache_bytes_table(lengths) -> list:
-    """KV payload bytes after prefilling random sequences of each length
-    through the default decoder. ConfigError, before the decoder is built,
-    unless the ladder holds >= 2 lengths, each from 1 to max_positions:
-    each length is one real prefill, at 8 KiB of cache per token."""
+def _cache_ladder(lengths) -> list[int]:
+    """The cache ladder as ints; ConfigError unless it holds >= 2 lengths,
+    each from 1 to max_positions: each length is one real prefill, at
+    8 KiB of cache per token."""
     lengths = [int(x) for x in lengths]
     if len(lengths) < 2 or any(x < 1 for x in lengths):
         raise ConfigError(f"need >= 2 positive lengths, got {lengths!r}")
+    limit = DecoderConfig.max_positions
+    if max(lengths) > limit:
+        raise ConfigError(f"cache ladder length {max(lengths)} exceeds max_positions {limit}")
+    return lengths
+
+
+def cache_bytes_table(lengths) -> list:
+    """KV payload bytes after prefilling random sequences of each length
+    through the default decoder; the ladder is checked before the decoder
+    is built."""
+    lengths = _cache_ladder(lengths)
     config = DecoderConfig()
-    if max(lengths) > config.max_positions:
-        raise ConfigError(
-            f"cache ladder length {max(lengths)} exceeds max_positions {config.max_positions}"
-        )
     decoder = Decoder(config)
     rng = np.random.default_rng(0)
     rows = []
@@ -114,8 +120,8 @@ def run_bench(
 ) -> dict:
     """Both ladders for an (n, f, d) base size: scoring time at (n, f*s, d)
     and cache bytes at length n*f*s, for each scale s. Every input is
-    checked, with ConfigError, before any scoring or prefill starts; the
-    cache ladder is checked by ``cache_bytes_table``, which runs first."""
+    checked, with ConfigError, before any scoring or prefill starts, and
+    the scoring pass runs before the prefills."""
     scales = [int(s) for s in scales]
     if len(scales) < 3:
         raise ConfigError(f"need a ladder of >= 3 sizes, got {len(scales)}")
@@ -130,12 +136,13 @@ def run_bench(
             f"n*f*max(scales)*d = {n * f * max(scales) * d} exceeds "
             f"the element budget of {MAX_ELEMENTS}"
         )
-    cache_rows = cache_bytes_table([n * f * s for s in scales])
+    cache_lengths = _cache_ladder([n * f * s for s in scales])
     scoring = scoring_cost_scaling([(n, f * s, d) for s in scales], repeats=repeats, seed=seed)
     base = scoring[0]["median_seconds"]
     for row, scale in zip(scoring, scales):
         row["scale"] = scale
         row["ratio_to_base"] = row["median_seconds"] / base if base > 0 else float("nan")
+    cache_rows = cache_bytes_table(cache_lengths)
     return {
         "scoring": scoring,
         "cache": cache_rows,

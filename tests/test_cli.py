@@ -302,21 +302,23 @@ class TestBench:
         code, _, _ = run_cli(capsys, "bench", "--scales", "1,2")
         assert code == 2
 
-    @pytest.mark.parametrize("args, kwargs", [
-        ((2, 4, 16), {"scales": (1, 2)}),
-        ((0, 4, 16), {}),
-        ((2, 0, 16), {}),
-        ((2, 4, 0), {}),
-        ((-2, -2, 16), {}),
-        ((2, 4, 16), {"repeats": 0}),
-        ((2, 4, 16), {"scales": (1, 0, 2)}),
-        ((10_000_000, 10_000_000, 64), {}),
-        ((1024, 1024, 64), {}),
+    @pytest.mark.parametrize("args, kwargs, match", [
+        ((2, 4, 16), {"scales": (1, 2)}, "ladder of >= 3"),
+        ((0, 4, 16), {}, "must be >= 1"),
+        ((2, 0, 16), {}, "must be >= 1"),
+        ((2, 4, 0), {}, "must be >= 1"),
+        ((-2, -2, 16), {}, "must be >= 1"),
+        ((2, 4, 16), {"repeats": 0}, "must be >= 1"),
+        ((2, 4, 16), {"scales": (1, 0, 2)}, "must be >= 1"),
+        ((10_000_000, 10_000_000, 64), {}, "element budget"),
+        ((64, 64, 16), {}, "max_positions"),  # 16,384 positions, far under the budget
     ], ids=["short-ladder", "n", "f", "d", "negative-n-f", "repeats", "scale",
             "element-budget", "max-positions"])
-    def test_run_bench_checks_every_input_before_any_work(self, monkeypatch, args, kwargs):
+    def test_run_bench_checks_every_input_before_any_work(
+        self, monkeypatch, args, kwargs, match
+    ):
         forbid_bench_work(monkeypatch)
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match=match):
             cli.bench_mod.run_bench(*args, **kwargs)
 
     def test_cache_ladder_over_max_positions_rejected(self, monkeypatch):

@@ -5,7 +5,7 @@ is not part of a docstring (the leading string of a module, class or
 function). Blank lines, comment-only lines and docstring lines are not
 code; a line with code and a trailing comment is.
 
-    python tools/src_lines.py [DIR]    # DIR defaults to src/sharpv
+    python tools/src_lines.py
 
 Standard library only.
 """
@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import ast
 import io
-import sys
 import tokenize
 from pathlib import Path
 
@@ -46,19 +45,15 @@ def count(path: Path) -> tuple[int, int]:
     return len(source.splitlines()), len(rows - docstring_lines(ast.parse(source)))
 
 
-def main(argv: list[str]) -> int:
-    root = Path(argv[0]) if argv else Path(__file__).resolve().parent.parent / "src" / "sharpv"
+def main() -> None:
+    root = Path(__file__).resolve().parent.parent / "src" / "sharpv"
     files = sorted(root.glob("*.py"))
-    if not files:
-        print(f"no .py files in {root}", file=sys.stderr)
-        return 2
     total = code = 0
     for path in files:
         t, c = count(path)
         total, code = total + t, code + c
     print(f"{root.name}: {len(files)} files, {total} lines, {code} code lines")
-    return 0
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    main()

@@ -3,11 +3,16 @@
 The prompt fed to the decoder is three contiguous blocks in fixed order:
 system, visual, instruction. Entries appended during generation are
 tagged ``generated``. A decoder's cache is a plain ``list[KVCacheLayer]``,
-one per layer. Cache layers are stored sequence-major so rows can be
-removed with one ``take`` of an index array along the first axis, and so
-decode can append a row in place: once a layer has been appended to, its
-arrays are views of capacity-doubling buffers that it alone owns, and a
-decode step writes one row per array instead of copying the cache.
+one per layer. A layer's arrays are indexed by entry along their first
+axis, so eviction removes rows with one index array, and decode appends
+a row in place: a layer that owns its buffers holds its arrays as
+``[:n]`` views of them and a decode step writes one row per array
+instead of copying the cache. The key buffer is head-major, (heads,
+head_dim, capacity), so the keys attention reads, (heads, head_dim, n),
+are a prefix of contiguous rows; ``keys`` is a (n, heads, head_dim)
+view of it. Value, position and tag buffers are entry-major. Prefill
+hands each layer its key and value buffers with spare rows
+(``KVCacheLayer.owning``), and buffers double when full.
 """
 
 from __future__ import annotations
@@ -87,8 +92,26 @@ class KVCacheLayer:
     values: np.ndarray
     position_ids: np.ndarray  # (seq,) int64
     segment_tags: np.ndarray  # (seq,) uint8
-    # Buffers behind the four arrays once ``append`` has made them.
+    # Buffers behind the four arrays, keys head-major: (H, head_dim, cap)
+    # keys, then (cap, H, head_dim) values, (cap,) ids and (cap,) tags.
+    # ``owning`` sets the key and value buffers only.
     _buffers: tuple | None = field(default=None, init=False, repr=False, compare=False)
+
+    @classmethod
+    def owning(cls, key_buf: np.ndarray, value_buf: np.ndarray,
+               position_ids: np.ndarray, segment_tags: np.ndarray) -> KVCacheLayer:
+        """A layer of len(position_ids) entries whose keys and values are
+        the leading rows of key_buf, (H, head_dim, capacity), and value_buf,
+        (capacity, H, head_dim), which the caller hands over: appends write
+        into their spare rows. The position ids and tags may be shared with
+        other layers; the first append copies them into buffers of the same
+        capacity.
+        """
+        n = len(position_ids)
+        layer = cls(key_buf[:, :, :n].transpose(2, 0, 1), value_buf[:n],
+                    position_ids, segment_tags)
+        layer._buffers = (key_buf, value_buf, None, None)
+        return layer
 
     def __len__(self) -> int:
         return self.keys.shape[0]
@@ -96,38 +119,46 @@ class KVCacheLayer:
     def append(self, key: np.ndarray, value: np.ndarray, tag: Segment, position: int) -> None:
         """Add one entry, in amortised O(1) copies.
 
-        The four arrays are ``buf[:n]`` views of capacity-doubling buffers
-        that this layer alone owns, so an append writes one row past every
-        view already handed out and leaves those views unchanged. A layer
-        that does not own its arrays (fresh from prefill, eviction or
-        re-encoding, all of which may share memory with another layer)
-        copies them into new buffers first, as does a full one.
+        The four arrays are ``buf[:n]`` views of buffers that this layer
+        alone owns, so an append writes one row past every view already
+        handed out and leaves those views unchanged. A layer that does not
+        own its arrays (built directly, or by ``apply_discard`` or
+        ``reencode_positions``, whose arrays may share memory with another
+        layer) copies them into new buffers of twice its length first, as
+        does a full one. A layer from ``owning`` copies only its position
+        ids and tags, on its first append.
         """
         n = len(self)
-        arrays = (self.keys, self.values, self.position_ids, self.segment_tags)
         bufs = self._buffers
-        if bufs is None or bufs[0].shape[0] == n or any(
-            arr.base is not buf for arr, buf in zip(arrays, bufs)
-        ):
-            bufs = self._buffers = tuple(_grown(arr, max(2 * n, 1)) for arr in arrays)
-        keys, values, position_ids, segment_tags = bufs
-        keys[n] = key
-        values[n] = value
-        position_ids[n] = position
-        segment_tags[n] = tag
+        # The checks are unrolled: a generator over the four arrays costs
+        # more per step than the writes themselves.
+        if (bufs is None or bufs[1].shape[0] == n
+                or self.keys.base is not bufs[0] or self.values.base is not bufs[1]):
+            bufs = self._buffers = _grown(self, max(2 * n, 1))
+        elif (bufs[2] is None or self.position_ids.base is not bufs[2]
+              or self.segment_tags.base is not bufs[3]):
+            capacity = bufs[1].shape[0]
+            bufs = self._buffers = (bufs[0], bufs[1], _grown_rows(self.position_ids, capacity),
+                                    _grown_rows(self.segment_tags, capacity))
+        key_buf, value_buf, position_buf, tag_buf = bufs
+        key_buf[:, :, n] = key
+        value_buf[n] = value
+        position_buf[n] = position
+        tag_buf[n] = tag
         n += 1
-        self.keys, self.values = keys[:n], values[:n]
-        self.position_ids, self.segment_tags = position_ids[:n], segment_tags[:n]
+        self.keys = key_buf[:, :, :n].transpose(2, 0, 1)
+        self.values = value_buf[:n]
+        self.position_ids, self.segment_tags = position_buf[:n], tag_buf[:n]
 
     def nbytes(self) -> int:
         """Key/value payload bytes (bookkeeping arrays excluded)."""
         return self.keys.nbytes + self.values.nbytes
 
     def segment_counts(self) -> dict[str, int]:
-        return {
-            SEGMENT_NAMES[seg]: int(np.count_nonzero(self.segment_tags == seg))
-            for seg in Segment
-        }
+        # one bincount: comparing the tags with each IntEnum member costs
+        # about 8 us a segment, even on a short layer
+        counts = np.bincount(self.segment_tags, minlength=len(Segment))
+        return {SEGMENT_NAMES[seg]: int(counts[seg]) for seg in Segment}
 
     def validate(self) -> None:
         seq = len(self)
@@ -141,9 +172,19 @@ class KVCacheLayer:
             raise ValueError("position ids must be strictly increasing")
 
 
-def _grown(arr: np.ndarray, capacity: int) -> np.ndarray:
+def _grown(layer: KVCacheLayer, capacity: int) -> tuple:
+    """New buffers of ``capacity`` entries holding a copy of the layer,
+    keys head-major."""
+    keys = layer.keys
+    n, heads, head_dim = keys.shape
+    key_buf = np.empty((heads, head_dim, capacity), dtype=keys.dtype)
+    key_buf[:, :, :n] = keys.transpose(1, 2, 0)
+    return (key_buf, _grown_rows(layer.values, capacity),
+            _grown_rows(layer.position_ids, capacity), _grown_rows(layer.segment_tags, capacity))
+
+
+def _grown_rows(arr: np.ndarray, capacity: int) -> np.ndarray:
     """A new buffer of ``capacity`` rows starting with a copy of arr."""
     buf = np.empty((capacity,) + arr.shape[1:], dtype=arr.dtype)
     buf[:len(arr)] = arr
     return buf
-

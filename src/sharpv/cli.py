@@ -6,11 +6,12 @@
                  [--config cfg.json]
     sharpv gen   --out video.svt [--pattern P] [--n N] [--f F] [--d D]
                  [--seed S] [--config cfg.json]
-    sharpv bench [--n N] [--f F] [--d D] [--scales 1,2,4] [--repeats R]
-                 [--out table.json] [--config cfg.json]
+    sharpv bench [--n N] [--f F] [--d D] [--seed S] [--scales 1,2,4]
+                 [--repeats R] [--out table.json] [--config cfg.json]
 
 Settings resolve as defaults < JSON config file < command-line flags.
-The config file is a flat JSON object; unknown keys are rejected. Keys
+The config file is a flat JSON object; unknown keys are rejected, and so
+are keys `bench` does not read (it reads n, f, d and seed). Keys
 without a flag (system_len, instruction_len, layers, heads, mlp_dim,
 vocab, max_positions, decoder_seed) are settable only via the file.
 
@@ -85,9 +86,13 @@ class HarnessConfig:
 
 _INT_FIELDS = {f.name for f in fields(HarnessConfig) if f.type == "int"}
 _FLOAT_FIELDS = {f.name for f in fields(HarnessConfig) if f.type == "float"}
+_ALL_KEYS = frozenset(f.name for f in fields(HarnessConfig))
+# The settings `sharpv bench` reads; a config file that sets any other is
+# rejected rather than silently ignored.
+_BENCH_KEYS = frozenset({"n", "f", "d", "seed"})
 
 
-def load_config_file(path: str) -> dict:
+def load_config_file(path: str, known=_ALL_KEYS) -> dict:
     with open(path, "rb") as fh:
         try:
             raw = json.load(fh)
@@ -95,17 +100,16 @@ def load_config_file(path: str) -> dict:
             raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError(f"config file {path} must hold a JSON object")
-    known = {f.name for f in fields(HarnessConfig)}
     unknown = sorted(set(raw) - known)
     if unknown:
-        raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
+        raise ConfigError(f"config keys this command does not read: {', '.join(unknown)}")
     return raw
 
 
-def resolve_config(args: argparse.Namespace) -> HarnessConfig:
+def resolve_config(args: argparse.Namespace, known=_ALL_KEYS) -> HarnessConfig:
     merged = asdict(HarnessConfig())
     if args.config is not None:
-        merged.update(load_config_file(args.config))
+        merged.update(load_config_file(args.config, known))
     for name in merged:
         flag_value = getattr(args, name, None)
         if flag_value is not None:
@@ -176,7 +180,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
-    cfg = resolve_config(args)
+    cfg = resolve_config(args, _BENCH_KEYS)
     try:
         scales = tuple(int(s) for s in args.scales.split(","))
     except ValueError as exc:
@@ -195,8 +199,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, prune_flags=True):
-        p.add_argument("--pattern", help="static | uniform:RATE | burst:I,J | mixed:SEG+SEG")
+    def common(p, pattern=True, prune_flags=True):
+        if pattern:
+            p.add_argument("--pattern", help="static | uniform:RATE | burst:I,J | mixed:SEG+SEG")
         p.add_argument("--n", type=int, help="frame count")
         p.add_argument("--f", type=int, help="tokens per frame")
         p.add_argument("--d", type=int, help="embedding dimension")
@@ -220,7 +225,7 @@ def build_parser() -> argparse.ArgumentParser:
     gen_p.set_defaults(handler=cmd_gen)
 
     bench_p = sub.add_parser("bench", help="scaling tables for scoring time and cache bytes")
-    common(bench_p, prune_flags=False)
+    common(bench_p, pattern=False, prune_flags=False)
     bench_p.add_argument("--scales", default=",".join(map(str, bench_mod.DEFAULT_SCALES)),
                          help="comma-separated size multipliers")
     bench_p.add_argument("--repeats", type=int, default=bench_mod.DEFAULT_REPEATS,

@@ -16,26 +16,36 @@ evicted entry is simply gone.
 
 Prefill never builds a (T, T) score array, and nothing per layer is
 larger than its (T, d) input, keys and values. Each layer first projects
-queries, keys and values for every row, with the keys laid out once as
-one C-contiguous (H, head_dim, T) block, so each query block's scores
-are a plain matmul against a prefix slice of it. Then query block
-[i0, i1) of ``_QUERY_BLOCK`` rows attends to its causal key prefix
-[0, i1) and runs the rest of the layer (output projection, residual,
-MLP) on its own rows while they are still in cache, writing them back
-into the layer input. The last layer is different: only its final row's
-output is ever read (for the logits), so once its keys and values are
-cached it attends and runs the MLP for that one row alone. The masked
-triangle beyond i1 is never computed. That prefix holds every
-key the block's rows may read, so each row's softmax is exact as it
-stands: an online (running max/sum) softmax or key tiling would add
-nothing, as scores are already O(H * _QUERY_BLOCK * T). As in fused
-attention kernels, queries come pre-scaled and the softmax's row sums
-divide the (H, rows, head_dim) output, not the (H, rows, T) weights. The
-distance bias is one (H, 2T-1) ramp per pass, and each block's bias is a
-read-only Toeplitz view of it (``_causal_bias``), O(H * T) memory in
-all. In prefill and decode alike, finite bias entries stop at
+keys and values for every row, straight into the buffers the cache layer
+will own: keys head-major, into an (H, head_dim, capacity) buffer, so
+each query block's scores are a plain matmul against a prefix slice of
+contiguous rows, and values into a (capacity, H, head_dim) buffer. Then
+query block [i0, i1) of ``_QUERY_BLOCK`` rows attends to its causal key
+prefix [0, i1) and runs the rest of the layer (output projection,
+residual, MLP) on its own rows while they are still in cache, writing
+them back into the layer input. The last layer is different: only its
+final row's output is ever read (for the logits), so once its keys and
+values are cached it projects a query, attends and runs the MLP for that
+one row alone. The masked triangle beyond i1 is never computed. That
+prefix holds every key the block's rows may read, so each row's softmax
+is exact as it stands: an online (running max/sum) softmax or key
+tiling would add nothing, as scores are already O(H * _QUERY_BLOCK * T).
+As in fused attention kernels, queries come pre-scaled and the softmax's
+row sums divide the (H, rows, head_dim) output, not the (H, rows, T)
+weights. The distance bias is one (H, 2T-1) ramp per pass, and each
+block's bias is a read-only Toeplitz view of it (``_causal_bias``),
+O(H * T) memory in all. In prefill and decode alike, finite bias entries stop at
 ``_BIAS_FLOOR``, which binds only beyond distance 700/slope (2800 for
 head 0 at the default 4 heads).
+
+The buffers hold ``min(spare_rows, T)`` rows beyond the prompt, and
+each layer prefill builds owns them (``KVCacheLayer.owning``): a layer
+the stage-2 hook keeps as it is takes that many decode entries without
+copying its prompt rows, while a layer the hook replaces (evicted or
+re-encoded) owns nothing, and its first append copies it. The pipeline
+asks for one spare row per decode step after the first; the cap at T is
+the doubling an append would make anyway, since every layer's key buffer
+is written across its full width.
 
 A decode step is one row per layer, so its cost is per-call overhead
 rather than arithmetic, and it is kept to few calls. Each layer's query,
@@ -46,6 +56,7 @@ values pin no (T, 3d) product. The step builds one floored ramp of
 non-negative distances, (H, max len + 1), and each layer's (H, 1, len)
 bias is a basic slice of its tail: a layer's position ids are
 0..len-1, which ``decode_step`` checks before it appends anything. A
+layer's keys are a prefix of its head-major buffer, as in prefill, and a
 one-row ``_layer_norm`` works on numpy scalars instead of keepdims
 arrays.
 
@@ -146,17 +157,18 @@ class PrefillResult:
 
 def _layer_norm(x: np.ndarray) -> np.ndarray:
     # The arithmetic of x.mean and x.var (sum, divide, centre, square, sum,
-    # divide) with x centred once and no Python-level wrappers; bit-identical
-    # to (x - mean) / sqrt(var + eps).
+    # divide) with x centred once and no Python-level wrappers: the sums are
+    # the np.add.reduce that ndarray.sum calls. Bit-identical to
+    # (x - mean) / sqrt(var + eps).
     n = x.shape[-1]
     if x.shape[0] == 1:
         # One row, as in every decode-step call: the same sums, reduced to
         # numpy scalars, cost about half as much as keepdims arrays.
-        xc = x - x.sum() / n
-        xc /= math.sqrt(np.square(xc).sum() / n + _LN_EPS)
+        xc = x - np.add.reduce(x, axis=None) / n
+        xc /= math.sqrt(np.add.reduce(np.square(xc), axis=None) / n + _LN_EPS)
         return xc
-    xc = x - x.sum(axis=-1, keepdims=True) / n
-    var = np.square(xc).sum(axis=-1, keepdims=True) / n
+    xc = x - np.add.reduce(x, axis=-1, keepdims=True) / n
+    var = np.add.reduce(np.square(xc), axis=-1, keepdims=True) / n
     xc /= np.sqrt(var + _LN_EPS)
     return xc
 
@@ -257,26 +269,14 @@ class Decoder:
         h, t, hd = x.shape
         return x.transpose(1, 0, 2).reshape(t, h * hd)
 
-    def _qkv(self, lw: LayerWeights, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Queries, keys and values of the layer input x, each (H, T, head_dim).
-
-        The queries come pre-scaled by 1/sqrt(head_dim), once on the (T, d)
-        projection rather than on every block of scores; at head_dim 16 the
-        scale is 0.25, a power of two, so the scores keep their bits.
-        """
-        xn = _layer_norm(x)
-        q = xn @ lw.wq
-        q *= self.inv_sqrt_hd
-        return self._split_heads(q), self._split_heads(xn @ lw.wk), self._split_heads(xn @ lw.wv)
-
     def _attend(self, q, keys, values, bias) -> np.ndarray:
         """Attention of (H, T, head_dim) pre-scaled queries over (H,
         head_dim, S) keys and (H, S, head_dim) values under an additive
         (H, T, S) bias (-inf where a key may not be read); returns (H, T,
         head_dim). The one attention routine: prefill calls it per query
         block, decode_step once per layer. Keys come transposed, as the
-        right operand of ``q @ keys``, so prefill can pass prefix slices
-        of one contiguous block.
+        right operand of ``q @ keys``, so both can pass a prefix slice of
+        a head-major key buffer.
 
         The softmax is left unnormalised until after the values are mixed
         in: the row sums divide the (H, T, head_dim) output instead of the
@@ -284,32 +284,37 @@ class Decoder:
         """
         scores = q @ keys
         scores += bias  # only read: the prefill bias is a read-only view
-        scores -= scores.max(axis=-1, keepdims=True)
+        # the ufunc reductions ndarray.max and .sum call, without their wrappers
+        scores -= np.maximum.reduce(scores, axis=-1, keepdims=True)
         np.exp(scores, out=scores)
-        denom = scores.sum(axis=-1, keepdims=True)
+        denom = np.add.reduce(scores, axis=-1, keepdims=True)
         out = scores @ values
         out /= denom
         return out
 
-    def _residual_mlp(self, lw, x, attended) -> np.ndarray:
+    def _residual_mlp(self, lw, x, attended) -> None:
         """Output projection of the (H, T, head_dim) attention result, the
-        residual, and the MLP block; returns the layer output (T, d)."""
-        x = x + self._merge_heads(attended) @ lw.wo
-        return x + _gelu(_layer_norm(x) @ lw.w_mlp_in) @ lw.w_mlp_out
+        residual, and the MLP block, added in place to the layer's (T, d)
+        input rows x, which become its output."""
+        x += self._merge_heads(attended) @ lw.wo
+        x += _gelu(_layer_norm(x) @ lw.w_mlp_in) @ lw.w_mlp_out
 
     def prefill(
         self, embedded: np.ndarray, spans: SegmentedSequence,
-        layer_hook: LayerHook | None = None,
+        layer_hook: LayerHook | None = None, spare_rows: int = 0,
     ) -> PrefillResult:
         """Causal forward pass over the whole prompt.
 
         Builds each layer's keys/values with segment tags and position ids
         0..T-1; every layer shares one read-only position array and one
         read-only tag array, which ``KVCacheLayer.append`` copies before
-        its first write. With a ``layer_hook``, every layer is passed
-        through it together with that layer's input states as soon as its
-        keys and values exist, before its attention runs, and the cache
-        stores what the hook returns; the pipeline evicts there (stage 2),
+        its first write. Each layer owns its key and value buffers, which
+        hold ``min(spare_rows, T)`` rows beyond the prompt, so a caller
+        that will append ``spare_rows`` decode entries can do so without
+        copying the prompt's keys and values. With a ``layer_hook``, every
+        layer is passed through it together with that layer's input
+        states as soon as its keys and values exist, before its attention
+        runs, and the cache stores what the hook returns; the pipeline evicts there (stage 2),
         so no layer's input is kept and a discarded layer's visual rows
         never reach the cache. Without one, every layer is stored whole.
         The layer's attention reads its own keys and values, never the
@@ -319,9 +324,9 @@ class Decoder:
         causal key prefix, with its bias a view of one distance ramp built
         per pass, and finishes the layer for its rows in place; see the
         module docstring. In the last layer, which the hook and the cache
-        still see whole, only the final row attends and runs the MLP: it
-        is the only row whose output is read, and ``final_hidden`` is its
-        (d,) state.
+        still see whole, only the final row projects a query, attends and
+        runs the MLP: it is the only row whose output is read, and
+        ``final_hidden`` is its (d,) state.
         """
         embedded = np.asarray(embedded, dtype=np.float64)
         if embedded.ndim != 2 or embedded.shape[1] != self.config.model_dim:
@@ -337,6 +342,8 @@ class Decoder:
             raise PositionOverflowError(
                 f"sequence length {total} exceeds max_positions {self.config.max_positions}"
             )
+        if spare_rows < 0:
+            raise ValueError(f"spare_rows must be >= 0, got {spare_rows}")
 
         positions = np.arange(total, dtype=np.int64)
         tags = spans.tags()
@@ -348,33 +355,45 @@ class Decoder:
         blocks = [(i0, min(i0 + _QUERY_BLOCK, total)) for i0 in range(0, total, _QUERY_BLOCK)]
         plan = [(i0, i1, _causal_bias(ramp, i0, i1)) for i0, i1 in blocks]
         last = [(total - 1, total, _causal_bias(ramp, total - 1, total))]
+        capacity = total + min(spare_rows, total)  # see the module docstring
+        d, heads = self.config.model_dim, self.config.heads
+        hd = d // heads
 
         cache = []
         x = embedded.copy()
         for l, lw in enumerate(self.layers):
-            q, k, v = self._qkv(lw, x)
-            # Keys laid out once as one C-contiguous (H, head_dim, T) block:
-            # every query block multiplies by a prefix of it whose rows are
-            # contiguous runs, not by a strided view of the (T, d) projection.
-            k = np.ascontiguousarray(k.transpose(0, 2, 1))
-            # (T, H, head_dim) views of the fresh key block and (T, d) value
-            # projection: nothing else holds them, so no copy is needed.
-            layer = KVCacheLayer(
-                keys=k.transpose(2, 0, 1),
-                values=v.transpose(1, 0, 2),
-                position_ids=positions,
-                segment_tags=tags,
-            )
+            rows = plan if l < len(self.layers) - 1 else last
+            q0 = rows[0][0]  # the first row that attends
+            xn = _layer_norm(x)
+            # Queries come pre-scaled by 1/sqrt(head_dim), once on the
+            # projection rather than on every block of scores; at head_dim
+            # 16 the scale is 0.25, a power of two, so the scores keep
+            # their bits.
+            q = xn[q0:] @ lw.wq
+            q *= self.inv_sqrt_hd
+            q = self._split_heads(q)
+            # Keys go head-major, so every query block multiplies by a
+            # prefix whose (head, channel) rows are contiguous runs; values
+            # are projected straight into their buffer.
+            key_buf = np.empty((heads, hd, capacity))
+            key_buf[:, :, :total] = (xn @ lw.wk).reshape(total, heads, hd).transpose(1, 2, 0)
+            value_buf = np.empty((capacity, heads, hd))
+            np.matmul(xn, lw.wv, out=value_buf[:total].reshape(total, d))
+            del xn
+            layer = KVCacheLayer.owning(key_buf, value_buf, positions, tags)
             if layer_hook is not None:
                 layer = layer_hook(x, layer)
             cache.append(layer)
             # A row's residual and MLP read only that row, and every key
             # and value exists already, so each block finishes its layer
-            # and overwrites its own rows of x.
-            for i0, i1, bias in (plan if l < len(self.layers) - 1 else last):
-                attended = self._attend(q[:, i0:i1], k[:, :, :i1], v[:, :i1], bias)
-                x[i0:i1] = self._residual_mlp(lw, x[i0:i1], attended)
-            del q, k, v  # not alive while the next layer projects its own
+            # in its own rows of x.
+            values = value_buf.transpose(1, 0, 2)  # (H, capacity, head_dim)
+            for i0, i1, bias in rows:
+                attended = self._attend(q[:, i0 - q0:i1 - q0], key_buf[:, :, :i1],
+                                        values[:, :i1], bias)
+                self._residual_mlp(lw, x[i0:i1], attended)
+            # not alive while the next layer projects its own
+            del q, key_buf, value_buf, values
         logits = _layer_norm(x[-1:])[0] @ self.w_out
         return PrefillResult(cache=cache, logits=logits, final_hidden=x[-1].copy())
 
@@ -416,19 +435,18 @@ class Decoder:
         # Column c holds the bias of distance top-c; a layer of n entries
         # reads its last n+1 columns, distances n down to 0.
         ramp = _bias_ramp(self.slopes, top, 0)[:, None]  # (H, 1, top+1)
-        d, heads = self.config.model_dim, self.config.heads
-        hd = d // heads
+        heads, hd = self.config.heads, self.config.head_dim
         x = embedding[None, :].copy()  # (1, d)
         for lw, layer, n in zip(self.layers, cache, lens):
-            qkv = (_layer_norm(x) @ lw.w_qkv)[0]  # (3d,)
-            q = qkv[:d].reshape(heads, 1, hd)
+            # query, key and value, each (H, 1, head_dim)
+            qkv = (_layer_norm(x) @ lw.w_qkv).reshape(3, heads, 1, hd)
+            q = qkv[0]
             q *= self.inv_sqrt_hd
-            layer.append(qkv[d:2 * d].reshape(heads, hd), qkv[2 * d:].reshape(heads, hd),
-                         Segment.GENERATED, position=n)
+            layer.append(qkv[1, :, 0], qkv[2, :, 0], Segment.GENERATED, position=n)
             keys = layer.keys.transpose(1, 2, 0)  # (H, hd, n+1)
             values = layer.values.transpose(1, 0, 2)  # (H, n+1, hd)
             attended = self._attend(q, keys, values, ramp[..., top - n:])
-            x = self._residual_mlp(lw, x, attended)
+            self._residual_mlp(lw, x, attended)
         final_hidden = x[0].copy()
         logits = _layer_norm(x)[0] @ self.w_out
         return logits, final_hidden

@@ -92,7 +92,8 @@ def run_pipeline(
     embedded, spans = _assemble(prompt, pruned.tokens)
     _check_positions(decoder, spans, config.decode_steps)
     prefill, sims, discarded = prefill_with_eviction(
-        decoder, embedded, spans, config.degradation_threshold
+        decoder, embedded, spans, config.degradation_threshold,
+        spare_rows=config.decode_steps - 1,
     )
     first_token = int(np.argmax(prefill.logits))
     t_first = time.perf_counter()
@@ -138,7 +139,8 @@ def run_pipeline(
 
 
 def prefill_with_eviction(
-    decoder: Decoder, embedded: np.ndarray, spans: SegmentedSequence, threshold: float
+    decoder: Decoder, embedded: np.ndarray, spans: SegmentedSequence, threshold: float,
+    spare_rows: int = 0,
 ) -> tuple[PrefillResult, list[float], list[int]]:
     """Prefill with stage 2 run on each layer as the decoder builds it.
 
@@ -148,6 +150,8 @@ def prefill_with_eviction(
     ``discard_decision``; a discarded layer goes through ``apply_discard``
     and ``reencode_positions`` before the cache stores it. Layer 0 scores
     exactly 1 (its input is the prompt itself), so it is never discarded.
+    A kept layer is stored as prefill built it, owning its key and value
+    buffers with ``spare_rows`` rows for decode (see ``Decoder.prefill``).
     """
     sims, discarded = [], []
 
@@ -160,7 +164,8 @@ def prefill_with_eviction(
         sims.append(sim)
         return layer
 
-    return decoder.prefill(embedded, spans, layer_hook=evict), sims, discarded
+    prefill = decoder.prefill(embedded, spans, layer_hook=evict, spare_rows=spare_rows)
+    return prefill, sims, discarded
 
 
 def baseline_generate(
@@ -174,7 +179,7 @@ def baseline_generate(
         raise ConfigError(f"decode_steps must be >= 1, got {decode_steps}")
     embedded, spans = _assemble(prompt, video.data)
     _check_positions(decoder, spans, decode_steps)
-    prefill = decoder.prefill(embedded, spans)
+    prefill = decoder.prefill(embedded, spans, spare_rows=decode_steps - 1)
     return _greedy(decoder, prefill.cache, int(np.argmax(prefill.logits)), decode_steps)
 
 

@@ -298,6 +298,26 @@ class TestBench:
         assert out == ""
         assert "must be >= 1" in err
 
+    def test_pattern_is_not_a_bench_flag(self, capsys, monkeypatch):
+        forbid_bench_work(monkeypatch)
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["bench", "--pattern", "wiggle"])
+        assert exc.value.code == 2
+        assert "--pattern" in capsys.readouterr().err
+
+    def test_config_keys_bench_does_not_read_are_rejected(self, capsys, tmp_path, monkeypatch):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"n": 2, "f": 4, "d": 16, "seed": 1}))
+        code, out, _ = run_cli(capsys, "bench", "--config", str(cfg), "--repeats", "1")
+        assert code == 0
+        assert [row["length"] for row in json.loads(out)["cache"]] == [8, 16, 32]
+        forbid_bench_work(monkeypatch)
+        cfg.write_text(json.dumps({"layers": 2, "mode": "bogus"}))
+        code, out, err = run_cli(capsys, "bench", "--config", str(cfg))
+        assert code == 2
+        assert out == ""
+        assert "layers, mode" in err
+
     def test_short_ladder_rejected(self, capsys):
         code, _, _ = run_cli(capsys, "bench", "--scales", "1,2")
         assert code == 2

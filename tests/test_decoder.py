@@ -484,6 +484,95 @@ class TestDecodeStep:
             decoder.decode_step(cache, decoder.embedding[0])
 
 
+class TestPrefillHandOff:
+    """Prefill hands each layer its key and value buffers with spare rows."""
+
+    T = 2 * _QUERY_BLOCK + 5
+    SPANS = SegmentedSequence(system_len=3, visual_len=2 * _QUERY_BLOCK, instruction_len=2)
+
+    def prefill(self, spare_rows, hook=None, layers=2):
+        decoder = Decoder(DecoderConfig(layers=layers, seed=6))
+        embedded = np.random.default_rng(15).standard_normal((self.T, 64))
+        return decoder, decoder.prefill(embedded, self.SPANS, layer_hook=hook,
+                                        spare_rows=spare_rows)
+
+    def test_kept_layer_appends_into_its_prefill_buffers(self):
+        decoder, res = self.prefill(spare_rows=4)
+        layer = res.cache[0]
+        key_buf, value_buf = layer.keys.base, layer.values.base
+        held = layer.keys.copy(), layer.values.copy()
+        decoder.decode_step(res.cache, decoder.embedding[2])
+        assert layer.keys.base is key_buf and layer.values.base is value_buf
+        assert np.array_equal(layer.keys[:self.T], held[0])
+        assert np.array_equal(layer.values[:self.T], held[1])
+        # the shared bookkeeping was copied, at the adopted capacity
+        assert layer.position_ids.base.shape == layer.segment_tags.base.shape == (self.T + 4,)
+
+    @pytest.mark.parametrize("spare_rows", [0, 1, 7, T, 3 * T])
+    def test_capacity_is_prompt_plus_capped_spare_rows(self, spare_rows):
+        decoder, res = self.prefill(spare_rows)
+        h, hd = decoder.config.heads, decoder.config.head_dim
+        capacity = self.T + min(spare_rows, self.T)
+        for layer in res.cache:
+            assert layer.keys.base.shape == (h, hd, capacity)
+            assert layer.values.base.shape == (capacity, h, hd)
+
+    def test_negative_spare_rows_rejected(self):
+        with pytest.raises(ValueError, match="spare_rows must be >= 0"):
+            self.prefill(spare_rows=-1)
+
+    def test_no_spare_rows_copies_on_the_first_append_as_before(self):
+        decoder, res = self.prefill(spare_rows=0)
+        _, spare = self.prefill(spare_rows=3)
+        key_buf = res.cache[0].keys.base
+        tok = 1
+        for _ in range(3):
+            logits, hidden = decoder.decode_step(res.cache, decoder.embedding[tok])
+            want, want_hidden = decoder.decode_step(spare.cache, decoder.embedding[tok])
+            assert np.array_equal(logits, want) and np.array_equal(hidden, want_hidden)
+            tok = int(np.argmax(logits))
+        layer = res.cache[0]
+        assert layer.keys.base is not key_buf
+        assert layer.keys.base.shape[-1] == layer.values.base.shape[0] == 2 * self.T
+
+    def test_decode_reads_keys_with_unit_stride(self, monkeypatch):
+        # layer 0 kept with its prefill buffers, layers 1-2 evicted, so
+        # their first append regrows them
+        built = []
+
+        def hook(states, layer):
+            built.append(layer)
+            return layer if len(built) == 1 else reencode_positions(apply_discard(layer))
+
+        decoder, res = self.prefill(spare_rows=2, hook=hook, layers=3)
+        assert [len(layer) for layer in res.cache] == [self.T, 5, 5]
+        seen = []
+        attend = decoder._attend
+
+        def spy(q, keys, values, bias):
+            seen.append(keys.strides[-1])
+            return attend(q, keys, values, bias)
+
+        monkeypatch.setattr(decoder, "_attend", spy)
+        for tok in (1, 2, 3):  # the third append overflows the kept layer's spare rows
+            decoder.decode_step(res.cache, decoder.embedding[tok])
+        assert seen == [np.dtype(np.float64).itemsize] * 9
+
+    def test_replaced_layer_does_not_inherit_the_buffers(self):
+        handed = []
+
+        def hook(states, layer):
+            handed.append((layer.keys.base, layer.values.base))
+            return reencode_positions(layer)
+
+        decoder, res = self.prefill(spare_rows=4, hook=hook)
+        for layer, (key_buf, value_buf) in zip(res.cache, handed):
+            layer.append(*np.ones((2, 4, 16)), Segment.GENERATED, position=self.T)
+            assert not np.shares_memory(layer.keys, key_buf)
+            assert not np.shares_memory(layer.values, value_buf)
+            assert len(layer) == self.T + 1
+
+
 class TestCacheConsistency:
     @pytest.mark.parametrize("split", [1, 4, 7])
     def test_prefill_plus_decode_matches_full_prefill(self, split):

@@ -10,9 +10,12 @@ a row in place: a layer that owns its buffers holds its arrays as
 instead of copying the cache. The key buffer is head-major, (heads,
 head_dim, capacity), so the keys attention reads, (heads, head_dim, n),
 are a prefix of contiguous rows; ``keys`` is a (n, heads, head_dim)
-view of it. Value, position and tag buffers are entry-major. Prefill
-hands each layer its key and value buffers with spare rows
-(``KVCacheLayer.owning``), and buffers double when full.
+view of it. Value, position and tag buffers are entry-major. A layer
+either owns all four buffers or none: prefill hands each layer its key
+and value buffers with spare rows, and ``KVCacheLayer.owning`` adds the
+id and tag buffers at the same capacity. A layer that owns none copies
+itself into new buffers on its first append, and buffers double when
+full.
 """
 
 from __future__ import annotations
@@ -21,8 +24,6 @@ from dataclasses import dataclass, field
 from enum import IntEnum
 
 import numpy as np
-
-from .errors import ShapeMismatchError
 
 
 class Segment(IntEnum):
@@ -94,23 +95,25 @@ class KVCacheLayer:
     segment_tags: np.ndarray  # (seq,) uint8
     # Buffers behind the four arrays, keys head-major: (H, head_dim, cap)
     # keys, then (cap, H, head_dim) values, (cap,) ids and (cap,) tags.
-    # ``owning`` sets the key and value buffers only.
     _buffers: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     @classmethod
     def owning(cls, key_buf: np.ndarray, value_buf: np.ndarray,
-               position_ids: np.ndarray, segment_tags: np.ndarray) -> KVCacheLayer:
-        """A layer of len(position_ids) entries whose keys and values are
-        the leading rows of key_buf, (H, head_dim, capacity), and value_buf,
-        (capacity, H, head_dim), which the caller hands over: appends write
-        into their spare rows. The position ids and tags may be shared with
-        other layers; the first append copies them into buffers of the same
-        capacity.
+               segment_tags: np.ndarray) -> KVCacheLayer:
+        """A layer of len(segment_tags) entries, with position ids
+        0..n-1, whose keys and values are the leading rows of key_buf,
+        (H, head_dim, capacity), and value_buf, (capacity, H, head_dim),
+        which the caller hands over. The layer allocates its id and tag
+        buffers at the same capacity, so it owns all four and appends
+        write into their spare rows.
         """
-        n = len(position_ids)
+        n = len(segment_tags)
+        capacity = value_buf.shape[0]
+        position_buf = np.arange(capacity, dtype=np.int64)
+        tag_buf = _grown_rows(segment_tags, capacity)
         layer = cls(key_buf[:, :, :n].transpose(2, 0, 1), value_buf[:n],
-                    position_ids, segment_tags)
-        layer._buffers = (key_buf, value_buf, None, None)
+                    position_buf[:n], tag_buf[:n])
+        layer._buffers = (key_buf, value_buf, position_buf, tag_buf)
         return layer
 
     def __len__(self) -> int:
@@ -125,21 +128,17 @@ class KVCacheLayer:
         own its arrays (built directly, or by ``apply_discard`` or
         ``reencode_positions``, whose arrays may share memory with another
         layer) copies them into new buffers of twice its length first, as
-        does a full one. A layer from ``owning`` copies only its position
-        ids and tags, on its first append.
+        does a full one.
         """
         n = len(self)
         bufs = self._buffers
         # The checks are unrolled: a generator over the four arrays costs
         # more per step than the writes themselves.
         if (bufs is None or bufs[1].shape[0] == n
-                or self.keys.base is not bufs[0] or self.values.base is not bufs[1]):
+                or self.keys.base is not bufs[0] or self.values.base is not bufs[1]
+                or self.position_ids.base is not bufs[2]
+                or self.segment_tags.base is not bufs[3]):
             bufs = self._buffers = _grown(self, max(2 * n, 1))
-        elif (bufs[2] is None or self.position_ids.base is not bufs[2]
-              or self.segment_tags.base is not bufs[3]):
-            capacity = bufs[1].shape[0]
-            bufs = self._buffers = (bufs[0], bufs[1], _grown_rows(self.position_ids, capacity),
-                                    _grown_rows(self.segment_tags, capacity))
         key_buf, value_buf, position_buf, tag_buf = bufs
         key_buf[:, :, n] = key
         value_buf[n] = value
@@ -159,17 +158,6 @@ class KVCacheLayer:
         # about 8 us a segment, even on a short layer
         counts = np.bincount(self.segment_tags, minlength=len(Segment))
         return {SEGMENT_NAMES[seg]: int(counts[seg]) for seg in Segment}
-
-    def validate(self) -> None:
-        seq = len(self)
-        if not (
-            self.values.shape[0] == seq
-            and self.position_ids.shape == (seq,)
-            and self.segment_tags.shape == (seq,)
-        ):
-            raise ShapeMismatchError("cache layer arrays disagree on sequence length")
-        if seq > 1 and not (np.diff(self.position_ids) > 0).all():
-            raise ValueError("position ids must be strictly increasing")
 
 
 def _grown(layer: KVCacheLayer, capacity: int) -> tuple:

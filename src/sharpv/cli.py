@@ -11,7 +11,8 @@
 
 Settings resolve as defaults < JSON config file < command-line flags.
 The config file is a flat JSON object; unknown keys are rejected, and so
-are keys `bench` does not read (it reads n, f, d and seed). Keys
+are keys the command does not read (`gen` reads pattern, n, f, d and
+seed; `bench` reads n, f, d and seed). Keys
 without a flag (system_len, instruction_len, layers, heads, mlp_dim,
 vocab, max_positions, decoder_seed) are settable only via the file.
 
@@ -87,8 +88,9 @@ class HarnessConfig:
 _INT_FIELDS = {f.name for f in fields(HarnessConfig) if f.type == "int"}
 _FLOAT_FIELDS = {f.name for f in fields(HarnessConfig) if f.type == "float"}
 _ALL_KEYS = frozenset(f.name for f in fields(HarnessConfig))
-# The settings `sharpv bench` reads; a config file that sets any other is
-# rejected rather than silently ignored.
+# The settings `sharpv gen` and `sharpv bench` read; a config file that
+# sets any other is rejected rather than silently ignored.
+_GEN_KEYS = frozenset({"pattern", "n", "f", "d", "seed"})
 _BENCH_KEYS = frozenset({"n", "f", "d", "seed"})
 
 
@@ -169,7 +171,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 def cmd_gen(args: argparse.Namespace) -> int:
     if args.out_path is None:
         raise ConfigError("gen requires --out")
-    cfg = resolve_config(args)
+    cfg = resolve_config(args, _GEN_KEYS)
     video = _synthetic_video(cfg)
     write_video(args.out_path, video)
     _emit(json.dumps({

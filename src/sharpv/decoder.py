@@ -39,13 +39,14 @@ O(H * T) memory in all. In prefill and decode alike, finite bias entries stop at
 head 0 at the default 4 heads).
 
 The buffers hold ``min(spare_rows, T)`` rows beyond the prompt, and
-each layer prefill builds owns them (``KVCacheLayer.owning``): a layer
-the stage-2 hook keeps as it is takes that many decode entries without
-copying its prompt rows, while a layer the hook replaces (evicted or
-re-encoded) owns nothing, and its first append copies it. The pipeline
-asks for one spare row per decode step after the first; the cap at T is
-the doubling an append would make anyway, since every layer's key buffer
-is written across its full width.
+each layer prefill builds owns them, together with id and tag buffers
+of the same capacity (``KVCacheLayer.owning``): a layer the stage-2
+hook keeps as it is takes that many decode entries without copying
+anything, while a layer the hook replaces (evicted or re-encoded) owns
+nothing, and its first append copies it. The pipeline asks for one
+spare row per decode step after the first; the cap at T is the doubling
+an append would make anyway, since every layer's key buffer is written
+across its full width.
 
 A decode step is one row per layer, so its cost is per-call overhead
 rather than arithmetic, and it is kept to few calls. Each layer's query,
@@ -305,13 +306,12 @@ class Decoder:
     ) -> PrefillResult:
         """Causal forward pass over the whole prompt.
 
-        Builds each layer's keys/values with segment tags and position ids
-        0..T-1; every layer shares one read-only position array and one
-        read-only tag array, which ``KVCacheLayer.append`` copies before
-        its first write. Each layer owns its key and value buffers, which
-        hold ``min(spare_rows, T)`` rows beyond the prompt, so a caller
-        that will append ``spare_rows`` decode entries can do so without
-        copying the prompt's keys and values. With a ``layer_hook``, every
+        Builds each layer's keys and values, with the prompt's segment
+        tags, as a layer that owns all four of its buffers
+        (``KVCacheLayer.owning``, which numbers the entries 0..T-1). The
+        buffers hold ``min(spare_rows, T)`` rows beyond the prompt, so a
+        caller that will append ``spare_rows`` decode entries can do so
+        without copying the layer. With a ``layer_hook``, every
         layer is passed through it together with that layer's input
         states as soon as its keys and values exist, before its attention
         runs, and the cache stores what the hook returns; the pipeline evicts there (stage 2),
@@ -345,10 +345,7 @@ class Decoder:
         if spare_rows < 0:
             raise ValueError(f"spare_rows must be >= 0, got {spare_rows}")
 
-        positions = np.arange(total, dtype=np.int64)
         tags = spans.tags()
-        positions.flags.writeable = False  # shared by every layer's cache
-        tags.flags.writeable = False
         ramp = _bias_ramp(self.slopes, total - 1, 1 - total)  # (H, 2T-1)
         # (i0, i1, bias) per query block: the plan of every layer but the
         # last, which runs for the final row alone
@@ -380,7 +377,7 @@ class Decoder:
             value_buf = np.empty((capacity, heads, hd))
             np.matmul(xn, lw.wv, out=value_buf[:total].reshape(total, d))
             del xn
-            layer = KVCacheLayer.owning(key_buf, value_buf, positions, tags)
+            layer = KVCacheLayer.owning(key_buf, value_buf, tags)
             if layer_hook is not None:
                 layer = layer_hook(x, layer)
             cache.append(layer)

@@ -99,11 +99,11 @@ def run_pipeline(
     t_first = time.perf_counter()
 
     cache = prefill.cache
-    # A full prefill cache holds float64 keys and values for all T rows in
-    # every layer; the evicted one is measured.
+    # A full prefill cache holds keys and values for all T rows in every
+    # layer; the evicted one is measured.
     rows_before = len(cache) * spans.total_len
     mr = sum(len(layer) for layer in cache) / rows_before
-    bytes_before = rows_before * 2 * decoder.config.model_dim * 8
+    bytes_before = rows_before * 2 * decoder.config.model_dim * cache[0].keys.itemsize
     layers_before = [spans.segment_counts() for _ in cache]
     bytes_after = sum(layer.nbytes() for layer in cache)
     layers_after = [layer.segment_counts() for layer in cache]
@@ -150,7 +150,7 @@ def prefill_with_eviction(
     ``discard_decision``; a discarded layer goes through ``apply_discard``
     and ``reencode_positions`` before the cache stores it. Layer 0 scores
     exactly 1 (its input is the prompt itself), so it is never discarded.
-    A kept layer is stored as prefill built it, owning its key and value
+    A kept layer is stored as prefill built it, owning all four of its
     buffers with ``spare_rows`` rows for decode (see ``Decoder.prefill``).
     """
     sims, discarded = [], []

@@ -5,7 +5,6 @@ import pytest
 
 from sharpv.cache import KVCacheLayer, Segment, SegmentedSequence
 from sharpv.decoder import Decoder, DecoderConfig
-from sharpv.errors import ShapeMismatchError
 from prefill_trace import traced_prefill
 from sharpv.memory import _row_cosines, apply_discard, degradation_profile, reencode_positions
 from sharpv.pipeline import prefill_with_eviction
@@ -76,7 +75,7 @@ class TestKVCacheLayer:
         assert len(layer) == 5
         assert layer.position_ids[-1] == 4
         assert layer.segment_tags[-1] == Segment.GENERATED
-        layer.validate()
+        assert len(layer.values) == len(layer.position_ids) == len(layer.segment_tags) == 5
 
     def test_layers_sharing_arrays_write_separate_buffers(self):
         decoder = Decoder(DecoderConfig(layers=1, model_dim=8, heads=2, mlp_dim=16, vocab=16))
@@ -97,23 +96,24 @@ class TestKVCacheLayer:
             assert np.array_equal(layer.keys[7], row[0])
             assert np.array_equal(layer.values[7], row[1])
 
-    def test_prefill_layers_share_read_only_bookkeeping(self):
+    def test_prefill_layers_own_all_four_buffers(self):
         decoder = Decoder(DecoderConfig(layers=3, model_dim=8, heads=2, mlp_dim=16, vocab=16))
         embedded = np.random.default_rng(7).standard_normal((6, 8))
         spans = spans_for(6, visual=(1, 4))
-        cache = decoder.prefill(embedded, spans).cache
-        positions, tags = cache[0].position_ids, cache[0].segment_tags
+        cache = decoder.prefill(embedded, spans, spare_rows=2).cache
+        fields = ("keys", "values", "position_ids", "segment_tags")
+        bases = [[getattr(layer, f).base for f in fields] for layer in cache]
         for layer in cache:
-            assert layer.position_ids is positions and layer.segment_tags is tags
-        assert not positions.flags.writeable and not tags.flags.writeable
-        with pytest.raises(ValueError):
-            positions[0] = 1
+            assert np.array_equal(layer.position_ids, np.arange(6))
+            assert np.array_equal(layer.segment_tags, spans.tags())
+        for i, a in enumerate(bases):
+            for b in bases[i + 1:]:
+                assert not any(np.shares_memory(x, y) for x, y in zip(a, b))
         decoder.decode_step(cache, decoder.embedding[3])
-        for layer in cache:
+        for layer, held in zip(cache, bases):
+            assert all(getattr(layer, f).base is base for f, base in zip(fields, held))
             assert list(layer.position_ids) == list(range(7))
             assert list(layer.segment_tags) == list(spans.tags()) + [Segment.GENERATED]
-        assert np.array_equal(positions, np.arange(6))
-        assert np.array_equal(tags, spans.tags())
 
     def test_appends_reallocate_logarithmically_often(self):
         n0, steps = 10, 256
@@ -129,7 +129,7 @@ class TestKVCacheLayer:
         assert np.array_equal(layer.keys[n0:], [k for k, _ in rows])
         assert np.array_equal(layer.values[n0:], [v for _, v in rows])
         assert np.array_equal(layer.position_ids, np.arange(n0 + steps))
-        layer.validate()
+        assert len(layer.values) == len(layer.segment_tags) == n0 + steps
 
     def test_next_position_counts_entries(self):
         # decode_step gives a new entry the position len(layer)
@@ -158,21 +158,6 @@ class TestKVCacheLayer:
         cache[1] = reencode_positions(cache[1])
         decoder.decode_step(cache, decoder.embedding[0])
         assert [layer.position_ids[-1] for layer in cache] == [5, 2]
-
-    def test_validate_catches_non_increasing_positions(self):
-        layer = make_layer(4)
-        layer.position_ids = np.array([0, 1, 1, 2], dtype=np.int64)
-        with pytest.raises(ValueError, match="strictly increasing"):
-            layer.validate()
-        layer.position_ids = np.array([0, 2, 1, 3], dtype=np.int64)
-        with pytest.raises(ValueError, match="strictly increasing"):
-            layer.validate()
-
-    def test_validate_catches_length_mismatch(self):
-        layer = make_layer(4)
-        layer.position_ids = np.arange(3, dtype=np.int64)
-        with pytest.raises(ShapeMismatchError):
-            layer.validate()
 
     def test_segment_counts(self):
         layer = make_layer(10, visual=(2, 6))

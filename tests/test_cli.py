@@ -272,6 +272,20 @@ class TestGen:
         run_cli(capsys, "gen", "--out", str(b), "--seed", "9")
         assert a.read_bytes() == b.read_bytes()
 
+    def test_config_keys_gen_does_not_read_are_rejected(self, capsys, tmp_path):
+        cfg, path = tmp_path / "cfg.json", tmp_path / "v.svt"
+        cfg.write_text(json.dumps({"pattern": "static", "n": 2, "f": 3, "d": 8, "seed": 1}))
+        code, _, err = run_cli(capsys, "gen", "--out", str(path), "--config", str(cfg))
+        assert code == 0, err
+        assert read_video(path).data.shape == (6, 8)
+        path.unlink()
+        cfg.write_text(json.dumps({"mode": "bogus", "layers": 2}))
+        code, out, err = run_cli(capsys, "gen", "--out", str(path), "--config", str(cfg))
+        assert code == 2
+        assert out == ""
+        assert not path.exists()
+        assert "layers, mode" in err
+
 
 class TestBench:
     def test_smoke(self, capsys):

@@ -499,13 +499,14 @@ class TestPrefillHandOff:
     def test_kept_layer_appends_into_its_prefill_buffers(self):
         decoder, res = self.prefill(spare_rows=4)
         layer = res.cache[0]
-        key_buf, value_buf = layer.keys.base, layer.values.base
-        held = layer.keys.copy(), layer.values.copy()
+        fields = ("keys", "values", "position_ids", "segment_tags")
+        bufs = [getattr(layer, f).base for f in fields]
+        held = [getattr(layer, f).copy() for f in fields]
         decoder.decode_step(res.cache, decoder.embedding[2])
-        assert layer.keys.base is key_buf and layer.values.base is value_buf
-        assert np.array_equal(layer.keys[:self.T], held[0])
-        assert np.array_equal(layer.values[:self.T], held[1])
-        # the shared bookkeeping was copied, at the adopted capacity
+        # all four arrays were written in place, in buffers of the prefill capacity
+        for f, buf, want in zip(fields, bufs, held):
+            assert getattr(layer, f).base is buf
+            assert np.array_equal(getattr(layer, f)[:self.T], want)
         assert layer.position_ids.base.shape == layer.segment_tags.base.shape == (self.T + 4,)
 
     @pytest.mark.parametrize("spare_rows", [0, 1, 7, T, 3 * T])

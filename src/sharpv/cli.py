@@ -12,7 +12,9 @@
 Settings resolve as defaults < JSON config file < command-line flags.
 The config file is a flat JSON object; unknown keys are rejected, and so
 are keys the command does not read (`gen` reads pattern, n, f, d and
-seed; `bench` reads n, f, d and seed). Keys
+seed; `bench` reads n, f, d and seed; `run --in` takes n, f and d from
+the file and reads no pattern, so it rejects all four, as flags too, and
+echoes no pattern in the report's config). Keys
 without a flag (system_len, instruction_len, layers, heads, mlp_dim,
 vocab, max_positions, decoder_seed) are settable only via the file.
 
@@ -31,7 +33,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, fields, replace
 
 from . import bench as bench_mod
 from .decoder import Decoder, DecoderConfig
@@ -88,13 +90,15 @@ class HarnessConfig:
 _INT_FIELDS = {f.name for f in fields(HarnessConfig) if f.type == "int"}
 _FLOAT_FIELDS = {f.name for f in fields(HarnessConfig) if f.type == "float"}
 _ALL_KEYS = frozenset(f.name for f in fields(HarnessConfig))
-# The settings `sharpv gen` and `sharpv bench` read; a config file that
-# sets any other is rejected rather than silently ignored.
+# The settings `sharpv gen`, `sharpv bench` and `sharpv run --in` read; a
+# config file or flag that sets any other is rejected rather than
+# silently ignored.
 _GEN_KEYS = frozenset({"pattern", "n", "f", "d", "seed"})
 _BENCH_KEYS = frozenset({"n", "f", "d", "seed"})
+_RUN_IN_KEYS = _ALL_KEYS - {"pattern", "n", "f", "d"}  # the video comes from the file
 
 
-def load_config_file(path: str, known=_ALL_KEYS) -> dict:
+def load_config_file(path: str, known=_ALL_KEYS, command="this command") -> dict:
     with open(path, "rb") as fh:
         try:
             raw = json.load(fh)
@@ -104,14 +108,20 @@ def load_config_file(path: str, known=_ALL_KEYS) -> dict:
         raise ConfigError(f"config file {path} must hold a JSON object")
     unknown = sorted(set(raw) - known)
     if unknown:
-        raise ConfigError(f"config keys this command does not read: {', '.join(unknown)}")
+        raise ConfigError(f"config keys {command} does not read: {', '.join(unknown)}")
     return raw
 
 
-def resolve_config(args: argparse.Namespace, known=_ALL_KEYS) -> HarnessConfig:
+def resolve_config(
+    args: argparse.Namespace, known=_ALL_KEYS, command="this command"
+) -> HarnessConfig:
     merged = asdict(HarnessConfig())
     if args.config is not None:
-        merged.update(load_config_file(args.config, known))
+        merged.update(load_config_file(args.config, known, command))
+    unread = sorted(f"--{name}" for name in set(merged) - known
+                    if getattr(args, name, None) is not None)
+    if unread:
+        raise ConfigError(f"flags {command} does not read: {', '.join(unread)}")
     for name in merged:
         flag_value = getattr(args, name, None)
         if flag_value is not None:
@@ -143,12 +153,16 @@ def _synthetic_video(cfg: HarnessConfig) -> VideoTokens:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    cfg = resolve_config(args)
-    if args.in_path is not None:
-        video = read_video(args.in_path)
-        cfg = HarnessConfig(**{**asdict(cfg), "n": video.n, "f": video.f, "d": video.d})
-    else:
+    if args.in_path is None:
+        cfg = resolve_config(args)
         video = _synthetic_video(cfg)
+        echo = asdict(cfg)
+    else:
+        cfg = resolve_config(args, _RUN_IN_KEYS, "run --in")
+        video = read_video(args.in_path)
+        cfg = replace(cfg, n=video.n, f=video.f, d=video.d)
+        echo = asdict(cfg)
+        del echo["pattern"]  # never read
     system, instruction = gen_prompt_embeddings(
         cfg.seed, cfg.system_len, cfg.instruction_len, cfg.d
     )
@@ -162,7 +176,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     )
     _, report = run_pipeline(
         decoder, video, PromptEmbeddings(system, instruction), pipe_cfg,
-        config_echo=asdict(cfg),
+        config_echo=echo,
     )
     _emit(report.to_json(), args.out_path)
     return EXIT_OK

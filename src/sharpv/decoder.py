@@ -32,7 +32,25 @@ is exact as it stands: an online (running max/sum) softmax or key
 tiling would add nothing, as scores are already O(H * _QUERY_BLOCK * T).
 As in fused attention kernels, queries come pre-scaled and the softmax's
 row sums divide the (H, rows, head_dim) output, not the (H, rows, T)
-weights. The distance bias is one (H, 2T-1) ramp per pass, and each
+weights.
+
+Prefill also skips the softmax's row max, the shift that keeps ``exp``
+from overflowing, in every layer whose weights already rule overflow
+out. Every query and key there is a projection of a layer-normed row,
+whose norm is below sqrt(d), and the bias is at most 0, so no score of
+layer l exceeds ``score_bounds[l]`` = d/sqrt(head_dim) * max over heads
+of sqrt(||W_q,h^T W_q,h||_inf * ||W_k,h^T W_k,h||_inf), computed once
+per decoder (a Gram matrix's largest absolute row sum bounds its largest
+eigenvalue, the squared largest singular value). Where that is below
+``_SHIFT_FREE_BOUND``, ``exp`` of an unshifted score cannot overflow,
+and the diagonal key (bias 0, score at least -bound) keeps a normal
+weight, so the row sum never vanishes. Softmax is invariant to a
+per-row shift, so the two forms differ by rounding only. The default
+decoder's bounds are 55-60 against a constant of 512; a layer over it
+keeps the shift, and so does every decode step, which attends over a
+cache the caller supplies.
+
+The distance bias is one (H, 2T-1) ramp per pass, and each
 block's bias is a read-only Toeplitz view of it (``_causal_bias``),
 O(H * T) memory in all. In prefill and decode alike, finite bias entries stop at
 ``_BIAS_FLOOR``, which binds only beyond distance 700/slope (2800 for
@@ -81,12 +99,21 @@ from .errors import ConfigError, PositionOverflowError, ShapeMismatchError
 
 _LN_EPS = 1e-5
 _MASKED = -np.inf
-# Floor of the finite distance bias. Below about -708, np.exp of a shifted
-# score leaves numpy's vector loop for a scalar path 18-120x slower per
-# element; at 4 heads, head 0 (slope 0.25) passes it beyond distance ~2830.
-# A key at the floor already weighs under e^-700 of the diagonal (bias 0),
-# so its weight is lost in rounding either way.
+# Floor of the finite distance bias. Below about -708, np.exp leaves
+# numpy's vector loop for a scalar path 18-120x slower per element; at 4
+# heads, head 0 (slope 0.25) passes the floor beyond distance ~2830. At the
+# floor, exp's argument is score - 700 in a shift-free prefill layer and
+# score - row max - 700 where the softmax shifts, so it stays above -708
+# unless the score is 8 below 0 or below the row max. A key at the floor
+# already weighs under e^-700 of the diagonal (bias 0), so its weight is
+# lost in rounding either way.
 _BIAS_FLOOR = -700.0
+# A prefill layer whose score bound (Decoder.score_bounds) is below this
+# skips the softmax's row-max shift. A weight is then at most e^512, about
+# 2e222, which leaves a factor of 1e85 for the key count times the largest
+# value before float64 overflows; e^-512, the least weight the diagonal
+# key can get, stays a normal float.
+_SHIFT_FREE_BOUND = 512.0
 # Query rows per prefill attention block. One block's scores are at most
 # (H, 32, T); at T=1-2k, 16 and 64 rows were slower (more calls per row,
 # scores falling out of cache).
@@ -225,6 +252,28 @@ def _causal_bias(ramp: np.ndarray, i0: int, i1: int) -> np.ndarray:
     )
 
 
+def _score_bound(lw: LayerWeights, heads: int) -> float:
+    """An upper bound on every prefill score of a layer, bias excluded.
+
+    A layer-normed row has norm below sqrt(d), so a head's query and key
+    have norms below sqrt(d) times the largest singular values of W_q,h
+    and W_k,h, and their scaled product is below d/sqrt(head_dim) times
+    both. The largest absolute row sum of a Gram matrix W^T W bounds its
+    largest eigenvalue, the squared singular value, without a LAPACK call.
+    The Gram matrices come from einsum's own loop: a BLAS call here, before
+    prefill's first, raised a process's peak RSS by about 0.3 MiB.
+    """
+    d = lw.wo.shape[0]
+    hd = d // heads
+
+    def gram_row_sums(w):  # (H,) largest absolute row sum of each head's W_h^T W_h
+        wh = w.reshape(d, heads, hd)
+        return np.abs(np.einsum("dhi,dhj->hij", wh, wh)).sum(axis=2).max(axis=1)
+
+    worst = np.max(gram_row_sums(lw.wq) * gram_row_sums(lw.wk))
+    return d / math.sqrt(hd) * math.sqrt(float(worst))
+
+
 class Decoder:
     """Immutable after construction; safe to share across runs."""
 
@@ -248,6 +297,8 @@ class Decoder:
         self.w_out = rng.standard_normal((d, vocab)) * scale
         self.slopes = _head_slopes(config.heads)
         self.inv_sqrt_hd = 1.0 / np.sqrt(config.head_dim)
+        # per layer, no prefill score (q @ keys) exceeds this
+        self.score_bounds = tuple(_score_bound(lw, config.heads) for lw in self.layers)
 
     def weight_checksum(self) -> str:
         """SHA-256 over all weight bytes in draw order."""
@@ -270,7 +321,7 @@ class Decoder:
         h, t, hd = x.shape
         return x.transpose(1, 0, 2).reshape(t, h * hd)
 
-    def _attend(self, q, keys, values, bias) -> np.ndarray:
+    def _attend(self, q, keys, values, bias, shift=True) -> np.ndarray:
         """Attention of (H, T, head_dim) pre-scaled queries over (H,
         head_dim, S) keys and (H, S, head_dim) values under an additive
         (H, T, S) bias (-inf where a key may not be read); returns (H, T,
@@ -281,12 +332,19 @@ class Decoder:
 
         The softmax is left unnormalised until after the values are mixed
         in: the row sums divide the (H, T, head_dim) output instead of the
-        (H, T, S) weights, as fused attention kernels do.
+        (H, T, S) weights, as fused attention kernels do. With ``shift``,
+        each row's max is subtracted before ``exp``, so no input overflows
+        it. ``shift=False`` skips that pass: softmax is invariant to a
+        per-row shift, so the result differs by rounding only, provided
+        the caller knows every score is small enough that ``exp`` neither
+        overflows nor leaves every weight of a row subnormal (prefill
+        knows it from ``score_bounds``).
         """
         scores = q @ keys
         scores += bias  # only read: the prefill bias is a read-only view
-        # the ufunc reductions ndarray.max and .sum call, without their wrappers
-        scores -= np.maximum.reduce(scores, axis=-1, keepdims=True)
+        if shift:
+            # the ufunc reductions ndarray.max and .sum call, without their wrappers
+            scores -= np.maximum.reduce(scores, axis=-1, keepdims=True)
         np.exp(scores, out=scores)
         denom = np.add.reduce(scores, axis=-1, keepdims=True)
         out = scores @ values
@@ -360,6 +418,7 @@ class Decoder:
         x = embedded.copy()
         for l, lw in enumerate(self.layers):
             rows = plan if l < len(self.layers) - 1 else last
+            shift = self.score_bounds[l] >= _SHIFT_FREE_BOUND
             q0 = rows[0][0]  # the first row that attends
             xn = _layer_norm(x)
             # Queries come pre-scaled by 1/sqrt(head_dim), once on the
@@ -387,7 +446,7 @@ class Decoder:
             values = value_buf.transpose(1, 0, 2)  # (H, capacity, head_dim)
             for i0, i1, bias in rows:
                 attended = self._attend(q[:, i0 - q0:i1 - q0], key_buf[:, :, :i1],
-                                        values[:, :i1], bias)
+                                        values[:, :i1], bias, shift)
                 self._residual_mlp(lw, x[i0:i1], attended)
             # not alive while the next layer projects its own
             del q, key_buf, value_buf, values

@@ -107,6 +107,36 @@ class TestRun:
         assert from_file == inline
 
 
+    @pytest.mark.parametrize("flags, config, named", [
+        (("--pattern", "burst:9,9", "--n", "99"), None,
+         "flags run --in does not read: --n, --pattern"),
+        (("--f", "3", "--d", "8"), None, "flags run --in does not read: --d, --f"),
+        ((), {"pattern": "static", "n": 2}, "config keys run --in does not read: n, pattern"),
+    ])
+    def test_in_rejects_the_video_settings_it_does_not_read(
+        self, capsys, tmp_path, flags, config, named
+    ):
+        # the file fixes n, f and d and has no pattern
+        path, cfg = tmp_path / "v.svt", tmp_path / "cfg.json"
+        code, _, _ = run_cli(
+            capsys, "gen", "--out", str(path), "--n", "2", "--f", "4", "--seed", "3"
+        )
+        assert code == 0
+        argv = ["run", "--in", str(path), "--decode-steps", "2", *flags]
+        if config is not None:
+            cfg.write_text(json.dumps(config))
+            argv += ["--config", str(cfg)]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert named in err
+        cfg.write_text(json.dumps({"seed": 3, "layers": 2}))
+        report = run_report(capsys, "--in", str(path), "--decode-steps", "2", "--config", str(cfg))
+        assert "pattern" not in report["config"]
+        assert (report["config"]["n"], report["config"]["f"], report["config"]["d"]) == (2, 4, 64)
+        assert report["config"]["layers"] == 2
+
+
 class TestExitCodes:
     def test_bad_pattern_is_config_error(self, capsys):
         code, _, err = run_cli(capsys, "run", "--pattern", "wiggle")

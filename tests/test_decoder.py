@@ -177,9 +177,9 @@ class TestPrefill:
         seen = []
         attend = decoder._attend
 
-        def spy(q, keys, values, bias):
+        def spy(q, keys, values, bias, shift=True):
             seen.append((keys.shape, keys.strides, keys.flags.c_contiguous))
-            return attend(q, keys, values, bias)
+            return attend(q, keys, values, bias, shift)
 
         monkeypatch.setattr(decoder, "_attend", spy)
         decoder.prefill(embedded, SegmentedSequence(0, t, 0))
@@ -274,9 +274,9 @@ class TestBiasFloor:
         lowest = []
         attend = decoder._attend
 
-        def spy(q, keys, values, bias):
+        def spy(q, keys, values, bias, shift=True):
             lowest.append(bias[np.isfinite(bias)].min())
-            return attend(q, keys, values, bias)
+            return attend(q, keys, values, bias, shift)
 
         monkeypatch.setattr(decoder, "_attend", spy)
         floored, logits, hidden = run()
@@ -289,6 +289,111 @@ class TestBiasFloor:
         assert np.array_equal(floored.final_hidden, exact.final_hidden)
         assert np.array_equal(logits, exact_logits)
         assert np.array_equal(hidden, exact_hidden)
+
+
+def record_attention(decoder, monkeypatch):
+    """Spy on a decoder's _attend; returns the list it fills with one
+    (layer, largest q @ keys entry, shift) per prefill call. A call
+    starts a new layer when its keys view another buffer, and the first
+    call after the list is cleared starts layer 0."""
+    calls, bases = [], []
+    attend = decoder._attend
+
+    def spy(q, keys, values, bias, shift=True):
+        if not calls:
+            bases.clear()
+        if not bases or keys.base is not bases[-1]:
+            bases.append(keys.base)
+        calls.append((len(bases) - 1, (q @ keys).max(), shift))
+        return attend(q, keys, values, bias, shift)
+
+    monkeypatch.setattr(decoder, "_attend", spy)
+    return calls
+
+
+class TestShiftFreeSoftmax:
+    """Prefill skips the softmax's row-max shift in every layer whose
+    score bound is below _SHIFT_FREE_BOUND; other layers and decode steps
+    keep it."""
+
+    T = 2 * _QUERY_BLOCK + 5
+
+    @pytest.mark.parametrize("config, scale", [
+        (DecoderConfig(layers=3, seed=3), 1.0),
+        (DecoderConfig(layers=3, seed=3), 1e6),
+        (DecoderConfig(layers=3, model_dim=32, heads=1, mlp_dim=64, seed=8), 1.0),
+        (DecoderConfig(layers=2, model_dim=96, heads=8, mlp_dim=128, seed=9), 1e6),
+    ])
+    def test_every_prefill_score_stays_below_its_layers_bound(self, monkeypatch, config, scale):
+        decoder = Decoder(config)
+        calls = record_attention(decoder, monkeypatch)
+        for seed in range(3):
+            rng = np.random.default_rng(seed)
+            embedded = scale * rng.standard_normal((self.T, config.model_dim))
+            calls.clear()
+            decoder.prefill(embedded, SegmentedSequence(0, self.T, 0))
+            assert sorted({l for l, _, _ in calls}) == list(range(config.layers))
+            for l, top, shift in calls:
+                assert top <= decoder.score_bounds[l] < sharpv.decoder._SHIFT_FREE_BOUND
+                assert shift is False
+
+    @pytest.mark.parametrize("config", [
+        DecoderConfig(), DecoderConfig(layers=2, model_dim=96, heads=8, mlp_dim=128, seed=9),
+    ])
+    def test_bound_covers_the_largest_singular_values(self, config):
+        # the Gram row-sum bound against the exact spectral norms
+        decoder = Decoder(config)
+        d, hd = config.model_dim, config.head_dim
+        for lw, bound in zip(decoder.layers, decoder.score_bounds):
+            heads = [slice(h * hd, (h + 1) * hd) for h in range(config.heads)]
+            exact = max(np.linalg.norm(lw.wq[:, h], 2) * np.linalg.norm(lw.wk[:, h], 2)
+                        for h in heads) * d / np.sqrt(hd)
+            assert exact <= bound
+
+    @pytest.mark.parametrize("spans", [
+        SegmentedSequence(0, T, 0), SegmentedSequence(4, T - 12, 8),
+    ])
+    def test_layers_over_the_constant_shift_and_agree(self, monkeypatch, spans):
+        # Lowering the constant below a layer's bound sends that layer
+        # down the shifted path; the outputs agree either way.
+        decoder = Decoder(DecoderConfig(layers=4, seed=6))
+        embedded = np.random.default_rng(21).standard_normal((self.T, 64))
+        calls = record_attention(decoder, monkeypatch)
+        free = decoder.prefill(embedded, spans)
+        assert not any(shift for _, _, shift in calls)
+        bounds = decoder.score_bounds
+        for limit in (0.0, sorted(bounds)[2]):  # every layer, then two of four
+            monkeypatch.setattr(sharpv.decoder, "_SHIFT_FREE_BOUND", limit)
+            calls.clear()
+            shifted = decoder.prefill(embedded, spans)
+            flags = {l: shift for l, _, shift in calls}
+            assert flags == {l: bounds[l] >= limit for l in range(4)}
+            assert all(shift == flags[l] for l, _, shift in calls)
+            assert sum(flags.values()) == (4 if limit == 0.0 else 2)
+            assert np.abs(shifted.logits - free.logits).max() <= 1e-12
+            assert np.abs(shifted.final_hidden - free.final_hidden).max() <= 1e-12
+
+    def test_decode_step_keeps_the_shift(self, monkeypatch):
+        decoder = Decoder(DecoderConfig(layers=3, seed=2))
+        embedded = np.random.default_rng(4).standard_normal((self.T, 64))
+        cache = decoder.prefill(embedded, SegmentedSequence(0, self.T, 0)).cache
+        calls = record_attention(decoder, monkeypatch)
+        decoder.decode_step(cache, decoder.embedding[5])
+        assert [shift for _, _, shift in calls] == [True] * 3
+
+    def test_shift_is_what_keeps_large_scores_finite(self):
+        # why direct calls and decode keep the shift: scores the weights
+        # do not bound overflow exp without it
+        decoder = Decoder(DecoderConfig(seed=1))
+        rng = np.random.default_rng(3)
+        h, hd = decoder.config.heads, decoder.config.head_dim
+        q = 100.0 * rng.standard_normal((h, 4, hd))
+        keys = 100.0 * rng.standard_normal((h, hd, 9))
+        values = rng.standard_normal((h, 9, hd))
+        bias = np.zeros((h, 4, 9))
+        assert np.isfinite(decoder._attend(q, keys, values, bias)).all()
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert not np.isfinite(decoder._attend(q, keys, values, bias, shift=False)).all()
 
 
 class TestQueryBlockEquivalence:
@@ -349,9 +454,10 @@ class TestKernels:
         constant = np.full((2, 64), 3.7)
         assert np.array_equal(_layer_norm(constant[:1]), _layer_norm(constant)[:1])
 
-    @pytest.mark.parametrize("s", [1, 97, 1000])
-    def test_attend_matches_textbook_softmax_with_masked_entries(self, s):
-        # The bound was fixed before the first run: 64 eps * max|values|.
+    @staticmethod
+    def attend_against_textbook(s, shift):
+        """(_attend's output, the textbook softmax's, values) on 32 random
+        query rows over s keys, with masked entries."""
         decoder = Decoder(DecoderConfig(seed=1))
         rng = np.random.default_rng(s)
         h, hd = decoder.config.heads, decoder.config.head_dim
@@ -362,10 +468,25 @@ class TestKernels:
         bias[..., 0] = 0.0  # every row keeps a readable key
         bias[:, 1, 1:] = -np.inf  # row 1 reads key 0 alone
         want = softmax(q @ keys.transpose(0, 2, 1) + bias) @ values
-        got = decoder._attend(q, np.ascontiguousarray(keys.transpose(0, 2, 1)), values, bias)
+        got = decoder._attend(q, np.ascontiguousarray(keys.transpose(0, 2, 1)), values, bias,
+                              shift)
+        return got, want, values
+
+    @pytest.mark.parametrize("s", [1, 97, 1000])
+    def test_attend_matches_textbook_softmax_with_masked_entries(self, s):
+        # The bound was fixed before the first run: 64 eps * max|values|.
+        got, want, values = self.attend_against_textbook(s, shift=True)
         bound = 64 * np.finfo(np.float64).eps * np.abs(values).max()
         assert np.abs(got - want).max() <= bound
         assert np.array_equal(got[:, 1], values[:, 0])
+
+    @pytest.mark.parametrize("s", [1, 97, 1000])
+    def test_shift_free_attend_matches_textbook_softmax(self, s):
+        # the same bound without the row-max shift; scores and bias reach
+        # about +-60, which exp takes unshifted
+        got, want, values = self.attend_against_textbook(s, shift=False)
+        bound = 64 * np.finfo(np.float64).eps * np.abs(values).max()
+        assert np.abs(got - want).max() <= bound
 
     def test_gelu_within_two_ulps_of_pow_form(self):
         x = np.concatenate([np.linspace(-30.0, 30.0, 600_001), [1e6, -1e6, 0.0, -0.0]])
@@ -460,9 +581,9 @@ class TestDecodeStep:
         biases = []
         attend = decoder._attend
 
-        def spy(q, keys, values, bias):
+        def spy(q, keys, values, bias, shift=True):
             biases.append(bias)
-            return attend(q, keys, values, bias)
+            return attend(q, keys, values, bias, shift)
 
         monkeypatch.setattr(decoder, "_attend", spy)
         decoder.decode_step(cache, decoder.embedding[1])
@@ -550,9 +671,9 @@ class TestPrefillHandOff:
         seen = []
         attend = decoder._attend
 
-        def spy(q, keys, values, bias):
+        def spy(q, keys, values, bias, shift=True):
             seen.append(keys.strides[-1])
-            return attend(q, keys, values, bias)
+            return attend(q, keys, values, bias, shift)
 
         monkeypatch.setattr(decoder, "_attend", spy)
         for tok in (1, 2, 3):  # the third append overflows the kept layer's spare rows

@@ -293,7 +293,7 @@ class TestBiasFloor:
 
 def record_attention(decoder, monkeypatch):
     """Spy on a decoder's _attend; returns the list it fills with one
-    (layer, largest q @ keys entry, shift) per prefill call. A call
+    (layer, largest q @ keys entry, shift) per call. A call
     starts a new layer when its keys view another buffer, and the first
     call after the list is cleared starts layer 0."""
     calls, bases = [], []

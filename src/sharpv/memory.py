@@ -28,36 +28,19 @@ import numpy as np
 
 from .cache import KVCacheLayer, Segment, SegmentedSequence
 from .errors import ShapeMismatchError
-from .vecmath import NORM_EPS
+from .vecmath import row_cosines
 
 # numpy compares a uint8 array with a plain int about 3x faster than with
 # the IntEnum member.
 _VISUAL = int(Segment.VISUAL)
 
 
-def _row_cosines(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    # cosine per row; rows whose norm product is ~zero score 0. Runs once
-    # per layer inside prefill, so it is a few cheap calls: per-row dot
-    # products as batched (1, d) @ (d, 1) matmuls (an einsum costs more per
-    # call), and a masked division only when some row is ~zero.
-    a_rows, b_cols = a[:, None, :], b[:, :, None]
-    denom = (a_rows @ a[:, :, None]).ravel()
-    denom *= (b[:, None, :] @ b_cols).ravel()
-    np.sqrt(denom, out=denom)
-    out = (a_rows @ b_cols).ravel()
-    if denom.min() >= NORM_EPS:
-        out /= denom
-    else:
-        out = np.divide(out, denom, out=np.zeros_like(out), where=denom >= NORM_EPS)
-    np.minimum(out, 1.0, out=out)
-    return np.maximum(out, -1.0, out=out)
-
-
 def degradation_profile(
     states: np.ndarray, original: np.ndarray, spans: SegmentedSequence
 ) -> float:
     """Mean cosine, in [-1, 1], between one layer's visual hidden states
-    and the original visual embeddings at the same rows."""
+    and the original visual embeddings at the same rows. A row that is a
+    zero vector on either side scores 0 (``vecmath.row_cosines``)."""
     original = np.asarray(original, dtype=np.float64)
     states = np.asarray(states, dtype=np.float64)
     if spans.visual_len < 1:
@@ -71,7 +54,7 @@ def degradation_profile(
             f"states have shape {states.shape}, expected {original.shape}"
         )
     vs = slice(*spans.visual_span)
-    return float(_row_cosines(states[vs], original[vs]).sum() / spans.visual_len)
+    return float(row_cosines(states[vs], original[vs]).sum() / spans.visual_len)
 
 
 def discard_decision(sim: float, threshold: float) -> bool:

@@ -148,8 +148,9 @@ def prefill_with_eviction(
     layer's degradation score, and the discarded layers in order. Each
     layer's input states give its score (``degradation_profile``) and its
     ``discard_decision``; a discarded layer goes through ``apply_discard``
-    and ``reencode_positions`` before the cache stores it. Layer 0 scores
-    exactly 1 (its input is the prompt itself), so it is never discarded.
+    and ``reencode_positions`` before the cache stores it. Layer 0's input
+    is the prompt, so it scores the share of visual rows that are not zero
+    vectors: below 1 only with zero tokens (a mostly black video can lose it).
     A kept layer is stored as prefill built it, owning all four of its
     buffers with ``spare_rows`` rows for decode (see ``Decoder.prefill``).
     """
@@ -195,8 +196,8 @@ def _assemble(prompt: PromptEmbeddings, visual: np.ndarray) -> tuple[np.ndarray,
 
 
 def _check_positions(decoder: Decoder, spans: SegmentedSequence, steps: int) -> None:
-    # Layer 0 is never evicted, so its last decode step writes position
-    # T + steps - 2; fail before prefill rather than at that step.
+    # No layer holds over T prompt entries, so decode writes at most
+    # position T + steps - 2; fail before prefill rather than at that step.
     needed = spans.total_len + steps - 1
     if needed > decoder.config.max_positions:
         raise PositionOverflowError(

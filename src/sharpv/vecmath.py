@@ -1,22 +1,18 @@
-"""Row normalization shared by the scoring stages.
+"""The vector maths of both stages, and their one zero rule.
 
-Both pruning scores (``pruner.importance_maps``) are unit-chord
+Stage 1's scores (``pruner.importance_maps``) are unit-chord
 dissimilarities: the Euclidean distance between L2-normalized vectors,
-sqrt(2 - 2*cos(angle)). It lives in [0, 2] and, unlike (1 - cosine),
-keeps resolution between nearly-aligned vectors in high-dimensional
-spaces. The pruner computes it as normalize-subtract-norm over
-``unit_rows`` rather than as sqrt(2 - 2*cos), so rounding can never
-produce a negative argument; the identity between the two forms is
-checked in tests instead.
+sqrt(2 - 2*cos(angle)), in [0, 2]. Unlike (1 - cosine) it keeps
+resolution between nearly-aligned vectors in high dimensions. The pruner
+computes it as normalize-subtract-norm over ``unit_rows``, so rounding
+can never produce a negative argument. Stage 2's score
+(``memory.degradation_profile``) is a mean of ``row_cosines``.
 
-Vectors with norm below ``NORM_EPS`` normalize to the zero vector, which
-keeps scoring total for padded or black frames: a zero vector scores 1
-against any unit direction and 0 against another zero vector.
-
-``unit_rows`` takes one norm and one divide. Its norm is the same
-multiply and pairwise sum as ``np.linalg.norm(m, axis=-1)``, so results
-are bit-identical, but it allocates one full-size temporary rather than
-two, and zero rows are cleared in place only when there are any.
+A row whose own norm is below ``NORM_EPS`` is the zero vector. It
+normalizes to (signed) zeros, so its dissimilarity is 1 to any unit
+direction and 0 to another zero vector, and any cosine with it is 0. So a
+row cosine is the dot product of the two ``unit_rows`` up to rounding,
+and identical rows score exactly 1.
 """
 
 from __future__ import annotations
@@ -27,15 +23,34 @@ import numpy as np
 NORM_EPS = 1e-12
 
 
+def _zero_rule(sq: np.ndarray) -> np.ndarray:
+    # Row sums of squares, in place: a zero row's becomes inf, so dividing
+    # by its root, or by the root of its product with another sum, gives 0.
+    np.copyto(sq, np.inf, where=np.sqrt(sq) < NORM_EPS)
+    return sq
+
+
 def unit_rows(m: np.ndarray) -> np.ndarray:
     """Row-wise L2 normalization into a new array; zero rows stay zero.
 
     Accepts any array whose last axis is the feature dimension.
     """
-    norms = np.sqrt(np.square(m).sum(axis=-1, keepdims=True))
-    small = norms < NORM_EPS
-    norms[small] = 1.0
-    out = m / norms
-    if small.any():
-        out[small[..., 0]] = 0.0
-    return out
+    # the multiply and pairwise sum of np.linalg.norm, bit for bit, with
+    # one full-size temporary rather than two
+    sq = np.square(m).sum(axis=-1, keepdims=True)
+    return m / np.sqrt(_zero_rule(sq), out=sq)
+
+
+def row_cosines(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Cosine, in [-1, 1], of each row of ``a`` with the same row of ``b``;
+    a pair with a zero row scores 0."""
+    # Per-row dot products as batched (1, d) @ (d, 1) matmuls, cheaper per
+    # call than an einsum; the root of the product of the squared norms,
+    # unlike the product of the norms, gives identical rows exactly 1.
+    a_rows, b_cols = a[:, None, :], b[:, :, None]
+    denom = _zero_rule((a_rows @ a[:, :, None]).ravel())
+    denom *= _zero_rule((b[:, None, :] @ b_cols).ravel())
+    out = (a_rows @ b_cols).ravel()
+    out /= np.sqrt(denom, out=denom)
+    np.minimum(out, 1.0, out=out)
+    return np.maximum(out, -1.0, out=out)

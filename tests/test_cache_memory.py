@@ -6,7 +6,7 @@ import pytest
 from sharpv.cache import KVCacheLayer, Segment, SegmentedSequence
 from sharpv.decoder import Decoder, DecoderConfig
 from prefill_trace import traced_prefill
-from sharpv.memory import _row_cosines, apply_discard, degradation_profile, reencode_positions
+from sharpv.memory import apply_discard, degradation_profile, reencode_positions
 from sharpv.pipeline import prefill_with_eviction
 
 
@@ -219,34 +219,6 @@ class TestDegradationProfile:
         spans = SegmentedSequence(system_len=2, visual_len=0, instruction_len=2)
         with pytest.raises(ValueError):
             degradation_profile(original, original, spans)
-
-
-class TestRowCosines:
-    @staticmethod
-    def norm_formula(a, b):
-        # The formula before the lean rewrite: product of two norms,
-        # zero where that product is below NORM_EPS.
-        from sharpv.vecmath import NORM_EPS
-        na = np.linalg.norm(a, axis=1)
-        nb = np.linalg.norm(b, axis=1)
-        dots = np.einsum("ij,ij->i", a, b)
-        denom = na * nb
-        out = np.where(denom < NORM_EPS, 0.0, dots / np.where(denom < NORM_EPS, 1.0, denom))
-        return np.clip(out, -1.0, 1.0)
-
-    def test_matches_norm_formula(self):
-        rng = np.random.default_rng(12)
-        a = rng.standard_normal((400, 64)) * rng.uniform(1e-3, 1e3, size=(400, 1))
-        b = rng.standard_normal((400, 64)) * rng.uniform(1e-3, 1e3, size=(400, 1))
-        b[:50] = 2.5 * a[:50]  # parallel: clipped to 1
-        b[50:100] = -a[50:100]  # antiparallel: clipped to -1
-        a[100:110] = 0.0  # zero rows
-        a[110:120] = 1e-9 * rng.standard_normal((10, 64))  # norm product
-        b[110:120] = 1e-9 * rng.standard_normal((10, 64))  # below NORM_EPS
-        got = _row_cosines(a, b)
-        assert np.abs(got - self.norm_formula(a, b)).max() <= 1e-15
-        assert (got[100:120] == 0.0).all()
-        assert (np.abs(got) <= 1.0).all()
 
 
 def stage2_prompt():

@@ -50,8 +50,9 @@ class TestPipelineConfig:
 
 
 class TestPositionBudget:
-    """Layer 0 is never evicted, so a run needs T + decode_steps - 1
-    positions; a run that needs more fails before prefill."""
+    """A layer holds at most T prompt entries, so a run needs
+    T + decode_steps - 1 positions; a run that needs more fails before
+    prefill."""
 
     @pytest.mark.parametrize("pruned", [True, False], ids=["run_pipeline", "baseline_generate"])
     def test_overflow_fails_before_prefill(self, pruned, monkeypatch):
@@ -100,9 +101,9 @@ class TestStaticVideo:
 
 class TestDiscardInPipeline:
     def test_max_threshold_discards_all_but_first_layer(self):
-        # layer 0's input is the raw embedding, so its similarity is exactly
-        # 1.0 and the strict < M rule can never evict it; every later layer
-        # degrades below 1 and goes
+        # layer 0's input is the raw embedding, which has no zero rows, so
+        # its similarity is exactly 1.0 and the strict < M rule keeps it;
+        # every later layer degrades below 1 and goes
         decoder = toy_decoder()
         video, prompt = make_inputs()
         config = PipelineConfig(degradation_threshold=1.0, decode_steps=4)
@@ -115,6 +116,27 @@ class TestDiscardInPipeline:
             assert after["visual"] == 0
             assert after["system"] == before["system"]
             assert after["instruction"] == before["instruction"]
+
+    def test_tiny_video_keeps_layer_zero(self):
+        # token norms 1e-7: each is above NORM_EPS, though the product of a
+        # row's two norms is not, so every row keeps its direction
+        video, prompt = make_inputs()
+        tiny = VideoTokens(video.n, video.f, video.d, video.data * 1e-7)
+        _, report = run_pipeline(toy_decoder(), tiny, prompt, PipelineConfig())
+        assert report.per_layer_sim[0] == 1.0
+        assert 0 not in report.discarded_layers
+
+    def test_layer_zero_scores_share_of_nonzero_visual_rows(self):
+        video, prompt = make_inputs()
+        data = video.data.copy()
+        data[2 * video.f:] = 0.0  # six black frames of eight
+        black = VideoTokens(video.n, video.f, video.d, data)
+        config = PipelineConfig()
+        _, report = run_pipeline(toy_decoder(), black, prompt, config)
+        tokens = prune_video(black, config).tokens
+        share = np.count_nonzero(np.linalg.norm(tokens, axis=1)) / len(tokens)
+        assert share < 1.0
+        assert report.per_layer_sim[0] == pytest.approx(share, abs=1e-15)
 
     def test_mr_reflects_eviction(self):
         decoder = toy_decoder()

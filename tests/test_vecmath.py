@@ -6,22 +6,24 @@ map of a two-frame, one-token video scores b after a. Row scores against
 one reference are the temporal map after a frame that tiles the
 reference; paired row scores are the temporal map between two frames;
 scores against the frame mean are the spatial map. The cosine is the
-degradation profile's row cosine.
+degradation profile's row cosine, ``row_cosines``.
 """
 
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from sharpv.cache import SegmentedSequence
 from sharpv.errors import ShapeMismatchError
-from sharpv.memory import _row_cosines, degradation_profile
+from sharpv.memory import degradation_profile
 from sharpv.pruner import VideoTokens, importance_maps
-from sharpv.vecmath import NORM_EPS, unit_rows
+from sharpv.vecmath import NORM_EPS, row_cosines, unit_rows
 
 import reference_pruner as ref
 
@@ -30,6 +32,12 @@ finite = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinit
 
 def vec_strategy(dim):
     return arrays(np.float64, (dim,), elements=finite)
+
+
+def clear_of_norm_eps(v):
+    """True iff every row's norm is clearly on one side of NORM_EPS, so
+    summation order cannot move it across."""
+    return bool((np.abs(np.linalg.norm(np.atleast_2d(v), axis=-1) / NORM_EPS - 1) > 1e-9).all())
 
 
 def temporal_after(first, second):
@@ -54,8 +62,8 @@ def mean_scores(frame):
 
 
 def cosine(a, b):
-    return float(_row_cosines(np.asarray(a, dtype=np.float64)[None, :],
-                              np.asarray(b, dtype=np.float64)[None, :])[0])
+    return float(row_cosines(np.asarray(a, dtype=np.float64)[None, :],
+                             np.asarray(b, dtype=np.float64)[None, :])[0])
 
 
 class TestDissim:
@@ -130,6 +138,88 @@ class TestCosine:
     @given(vec_strategy(7), vec_strategy(7))
     def test_bounded(self, a, b):
         assert -1.0 <= cosine(a, b) <= 1.0
+
+    def test_tiny_rows_keep_their_direction(self):
+        # norms 1e-7: their product is below NORM_EPS, each norm is not
+        v = np.array([1e-7, 0.0])
+        assert cosine(v, v) == 1.0
+        assert cosine(v, [0.0, 1e-7]) == 0.0
+        assert cosine(v, [-2e-7, 0.0]) == -1.0
+
+    def test_identical_rows_score_exactly_one(self):
+        a = np.random.default_rng(4).standard_normal((500, 64))
+        assert (row_cosines(a, a.copy()) == 1.0).all()
+
+    @given(vec_strategy(6), vec_strategy(6), st.floats(min_value=1e-9, max_value=1e3),
+           st.floats(min_value=1e-9, max_value=1e3))
+    # norms about 1e-8 and 1e-9: a rule on the norm product would zero the pair
+    @example(np.arange(1.0, 7.0), np.eye(6)[0], 1e-9, 1e-9)
+    def test_scaling_either_row_keeps_cosine(self, a, b, alpha, beta):
+        # holds while scaling keeps each row on its side of the zero rule
+        for v, scaled in ((a, alpha * a), (b, beta * b)):
+            assume(clear_of_norm_eps(v) and clear_of_norm_eps(scaled))
+            assume((np.linalg.norm(v) < NORM_EPS) == (np.linalg.norm(scaled) < NORM_EPS))
+        c = cosine(a, b)
+        assert cosine(alpha * a, b) == pytest.approx(c, abs=1e-12)
+        assert cosine(a, beta * b) == pytest.approx(c, abs=1e-12)
+        assert cosine(alpha * a, beta * b) == pytest.approx(c, abs=1e-12)
+
+    @given(st.integers(1, 6).flatmap(lambda d: st.tuples(
+        arrays(np.float64, (5, d), elements=finite), arrays(np.float64, (5, d), elements=finite))))
+    def test_matches_dot_of_unit_rows(self, pair):
+        # stage 2's cosine is stage 1's normalization followed by a dot
+        a, b = pair
+        assume(clear_of_norm_eps(a) and clear_of_norm_eps(b))
+        want = np.clip(np.sum(unit_rows(a) * unit_rows(b), axis=-1), -1.0, 1.0)
+        assert row_cosines(a, b) == pytest.approx(want, abs=4 * np.finfo(np.float64).eps)
+
+
+class TestRowCosines:
+    @staticmethod
+    def norm_formula(a, b):
+        # The zero rule written out per row: a pair scores 0 where either
+        # row's own norm is below NORM_EPS.
+        na = np.linalg.norm(a, axis=1)
+        nb = np.linalg.norm(b, axis=1)
+        dots = np.einsum("ij,ij->i", a, b)
+        zero = (na < NORM_EPS) | (nb < NORM_EPS)
+        out = np.where(zero, 0.0, dots / np.where(zero, 1.0, na * nb))
+        return np.clip(out, -1.0, 1.0)
+
+    def test_matches_norm_formula(self):
+        rng = np.random.default_rng(12)
+        a = rng.standard_normal((400, 64)) * rng.uniform(1e-3, 1e3, size=(400, 1))
+        b = rng.standard_normal((400, 64)) * rng.uniform(1e-3, 1e3, size=(400, 1))
+        b[:50] = 2.5 * a[:50]  # parallel: clipped to 1
+        b[50:100] = -a[50:100]  # antiparallel: clipped to -1
+        a[100:110] = 0.0  # zero rows
+        a[110:120] = 1e-9 * rng.standard_normal((10, 64))  # norms ~8e-9, so the
+        b[110:120] = 1e-9 * rng.standard_normal((10, 64))  # product is below NORM_EPS
+        a[120:130] = 1e-14 * rng.standard_normal((10, 64))  # own norm below
+        b[130:140] = 1e-14 * rng.standard_normal((10, 64))  # NORM_EPS
+        na, nb = np.linalg.norm(a, axis=1), np.linalg.norm(b, axis=1)
+        assert (na[110:120] * nb[110:120] < NORM_EPS).all()
+        assert (na[120:130] < NORM_EPS).all() and (nb[130:140] < NORM_EPS).all()
+        got = row_cosines(a, b)
+        assert np.abs(got - self.norm_formula(a, b)).max() <= 1e-15
+        assert (got[100:110] == 0.0).all()
+        assert (got[110:120] != 0.0).all()
+        assert (got[120:140] == 0.0).all()
+        assert (np.abs(got) <= 1.0).all()
+
+
+def test_only_vecmath_reads_norm_eps():
+    # the zero rule lives in one module: no other package module may
+    # import, read or reach through an attribute to NORM_EPS
+    package = Path(__file__).resolve().parent.parent / "src" / "sharpv"
+    readers = set()
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.Name) and node.id == "NORM_EPS"
+                    or isinstance(node, ast.Attribute) and node.attr == "NORM_EPS"
+                    or isinstance(node, ast.alias) and node.name == "NORM_EPS"):
+                readers.add(path.name)
+    assert readers == {"vecmath.py"}
 
 
 class TestNormalize:

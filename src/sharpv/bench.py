@@ -130,6 +130,8 @@ def run_bench(
             f"n, f, d, repeats and every scale must be >= 1, got n={n} f={f} "
             f"d={d} repeats={repeats} scales={scales}"
         )
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
     # the largest scale's scoring input is allocated whole
     if n * f * max(scales) * d > MAX_ELEMENTS:
         raise ConfigError(

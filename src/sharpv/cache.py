@@ -56,16 +56,8 @@ class SegmentedSequence:
         return self.system_len + self.visual_len + self.instruction_len
 
     @property
-    def system_span(self) -> tuple[int, int]:
-        return (0, self.system_len)
-
-    @property
     def visual_span(self) -> tuple[int, int]:
         return (self.system_len, self.system_len + self.visual_len)
-
-    @property
-    def instruction_span(self) -> tuple[int, int]:
-        return (self.system_len + self.visual_len, self.total_len)
 
     def segment_counts(self) -> dict[str, int]:
         """Entries per segment, as ``KVCacheLayer.segment_counts`` gives
@@ -75,11 +67,9 @@ class SegmentedSequence:
 
     def tags(self) -> np.ndarray:
         """Per-position segment tags, shape (total_len,) uint8."""
-        out = np.empty(self.total_len, dtype=np.uint8)
-        out[slice(*self.system_span)] = Segment.SYSTEM
-        out[slice(*self.visual_span)] = Segment.VISUAL
-        out[slice(*self.instruction_span)] = Segment.INSTRUCTION
-        return out
+        # Segment.SYSTEM, VISUAL and INSTRUCTION are 0, 1 and 2
+        lengths = (self.system_len, self.visual_len, self.instruction_len)
+        return np.repeat(np.arange(3, dtype=np.uint8), lengths)
 
 
 @dataclass

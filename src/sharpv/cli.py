@@ -10,19 +10,24 @@
                  [--repeats R] [--out table.json] [--config cfg.json]
 
 Settings resolve as defaults < JSON config file < command-line flags.
-The config file is a flat JSON object; unknown keys are rejected, and so
-are keys the command does not read (`gen` reads pattern, n, f, d and
-seed; `bench` reads n, f, d and seed; `run --in` takes n, f and d from
-the file and reads no pattern, so it rejects all four, as flags too, and
-echoes no pattern in the report's config). Keys
-without a flag (system_len, instruction_len, layers, heads, mlp_dim,
-vocab, max_positions, decoder_seed) are settable only via the file.
+Three tables next to ``HarnessConfig`` say everything about them:
+``_TYPES`` (each setting's type, from its annotation), ``_FLAGS`` (the
+settings that have a flag) and ``_READS`` (the settings each of `run`,
+`run --in`, `gen` and `bench` reads). A command's parser has the flags
+in both ``_FLAGS`` and its set; a config key, or a flag, outside its set
+is rejected, and `run` echoes its set, with n, f and d, in the report's
+config. So `run --in`, whose file fixes n, f and d and which has no
+pattern, rejects all four and echoes no pattern. Settings without a
+flag (system_len, instruction_len, layers, heads, mlp_dim, vocab,
+max_positions, decoder_seed) are settable only via the file.
 
-The harness only parses arguments, calls the library and emits. Decoder
-and pipeline defaults are ``DecoderConfig``'s and ``PipelineConfig``'s,
-and the bench ladder's defaults and input checks are in ``bench``. The
-video and prompt defaults (pattern, n, f, seed, prompt lengths) live
-here, their only user.
+The harness only parses arguments, calls the library and emits; `run`
+builds its decoder and pipeline configs, which check every setting they
+hold, before it makes or reads a video. Decoder and pipeline defaults
+are ``DecoderConfig``'s and ``PipelineConfig``'s, and the bench ladder's
+defaults and input checks are in ``bench``. The video and prompt
+defaults (pattern, n, f, seed, prompt lengths) live here, their only
+user.
 
 Exit codes: 0 success, 2 configuration error, 3 I/O or file-format
 error, 4 report invariant violation.
@@ -33,7 +38,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, replace
+from typing import get_type_hints
 
 from . import bench as bench_mod
 from .decoder import Decoder, DecoderConfig
@@ -81,60 +87,60 @@ class HarnessConfig:
     decoder_seed: int = DecoderConfig.seed
 
     def __post_init__(self):
-        if self.seed < 0 or self.decoder_seed < 0:
-            raise ConfigError("seeds must be >= 0")
         if self.system_len < 1 or self.instruction_len < 1:
             raise ConfigError("prompt segment lengths must be >= 1")
 
 
-_INT_FIELDS = {f.name for f in fields(HarnessConfig) if f.type == "int"}
-_FLOAT_FIELDS = {f.name for f in fields(HarnessConfig) if f.type == "float"}
-_ALL_KEYS = frozenset(f.name for f in fields(HarnessConfig))
-# The settings `sharpv gen`, `sharpv bench` and `sharpv run --in` read; a
-# config file or flag that sets any other is rejected rather than
-# silently ignored.
-_GEN_KEYS = frozenset({"pattern", "n", "f", "d", "seed"})
-_BENCH_KEYS = frozenset({"n", "f", "d", "seed"})
-_RUN_IN_KEYS = _ALL_KEYS - {"pattern", "n", "f", "d"}  # the video comes from the file
+# Each setting's type, the settings that have a flag (with its help), and
+# the settings each command reads: a config key or flag outside a
+# command's set is rejected rather than silently ignored.
+_TYPES = get_type_hints(HarnessConfig)
+_FLAGS = {
+    "pattern": "static | uniform:RATE | burst:I,J | mixed:SEG+SEG",
+    "n": "frame count",
+    "f": "tokens per frame",
+    "d": "embedding dimension",
+    "seed": "generation seed",
+    "mode": "adaptive | manual",
+    "w": "spatial weight in combined importance",
+    "k": "manual-mode keep threshold",
+    "m": "cache-eviction similarity threshold",
+    "decode_steps": "greedy decode steps",
+}
+_READS = {
+    "run": frozenset(_TYPES),
+    "run --in": frozenset(_TYPES) - {"pattern", "n", "f", "d"},  # the file fixes n, f, d
+    "gen": frozenset({"pattern", "n", "f", "d", "seed"}),
+    "bench": frozenset({"n", "f", "d", "seed"}),
+}
+_KINDS = {int: "an integer", float: "a number", str: "a string"}
 
 
-def load_config_file(path: str, known=_ALL_KEYS, command="this command") -> dict:
-    with open(path, "rb") as fh:
-        try:
-            raw = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise ConfigError(f"config file {path} must hold a JSON object")
-    unknown = sorted(set(raw) - known)
-    if unknown:
-        raise ConfigError(f"config keys {command} does not read: {', '.join(unknown)}")
-    return raw
-
-
-def resolve_config(
-    args: argparse.Namespace, known=_ALL_KEYS, command="this command"
-) -> HarnessConfig:
+def resolve_config(args: argparse.Namespace, command: str) -> HarnessConfig:
+    """Defaults < config file < flags, for the settings ``command`` reads;
+    ConfigError on a key or flag it does not read or a mistyped value."""
     merged = asdict(HarnessConfig())
     if args.config is not None:
-        merged.update(load_config_file(args.config, known, command))
-    unread = sorted(f"--{name}" for name in set(merged) - known
-                    if getattr(args, name, None) is not None)
+        with open(args.config, "rb") as fh:
+            try:
+                raw = json.load(fh)
+            except json.JSONDecodeError as exc:
+                raise ConfigError(f"config file {args.config} is not valid JSON: {exc}") from exc
+        if not isinstance(raw, dict):
+            raise ConfigError(f"config file {args.config} must hold a JSON object")
+        unread = sorted(set(raw) - _READS[command])
+        if unread:
+            raise ConfigError(f"config keys {command} does not read: {', '.join(unread)}")
+        for name, value in raw.items():
+            want = _TYPES[name]
+            if type(value) not in ((int, float) if want is float else (want,)):  # no bool
+                raise ConfigError(f"config key {name} must be {_KINDS[want]}, got {value!r}")
+            merged[name] = want(value)
+    flags = {name: getattr(args, name) for name in _FLAGS if getattr(args, name, None) is not None}
+    unread = sorted(set(flags) - _READS[command])
     if unread:
-        raise ConfigError(f"flags {command} does not read: {', '.join(unread)}")
-    for name in merged:
-        flag_value = getattr(args, name, None)
-        if flag_value is not None:
-            merged[name] = flag_value
-    for name, value in merged.items():
-        want = int if name in _INT_FIELDS else float if name in _FLOAT_FIELDS else str
-        if want is int and (isinstance(value, bool) or not isinstance(value, int)):
-            raise ConfigError(f"config key {name} must be an integer, got {value!r}")
-        if want is float and (isinstance(value, bool) or not isinstance(value, (int, float))):
-            raise ConfigError(f"config key {name} must be a number, got {value!r}")
-        if want is str and not isinstance(value, str):
-            raise ConfigError(f"config key {name} must be a string, got {value!r}")
-        merged[name] = want(value)
+        raise ConfigError(f"flags {command} does not read: --{', --'.join(unread)}")
+    merged.update(flags)
     return HarnessConfig(**merged)
 
 
@@ -153,29 +159,26 @@ def _synthetic_video(cfg: HarnessConfig) -> VideoTokens:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
+    command = "run" if args.in_path is None else "run --in"
+    cfg = resolve_config(args, command)
+    # both configs check their settings before a video is made or read
+    pipe_cfg = PipelineConfig(spatial_weight=cfg.w, mode=cfg.mode, manual_threshold=cfg.k,
+                              degradation_threshold=cfg.m, decode_steps=cfg.decode_steps)
+    decoder_cfg = DecoderConfig(layers=cfg.layers, model_dim=cfg.d, heads=cfg.heads,
+                                mlp_dim=cfg.mlp_dim, vocab=cfg.vocab, seed=cfg.decoder_seed,
+                                max_positions=cfg.max_positions)
     if args.in_path is None:
-        cfg = resolve_config(args)
         video = _synthetic_video(cfg)
-        echo = asdict(cfg)
     else:
-        cfg = resolve_config(args, _RUN_IN_KEYS, "run --in")
         video = read_video(args.in_path)
         cfg = replace(cfg, n=video.n, f=video.f, d=video.d)
-        echo = asdict(cfg)
-        del echo["pattern"]  # never read
+        decoder_cfg = replace(decoder_cfg, model_dim=video.d)
     system, instruction = gen_prompt_embeddings(
         cfg.seed, cfg.system_len, cfg.instruction_len, cfg.d
     )
-    decoder = Decoder(DecoderConfig(
-        layers=cfg.layers, model_dim=cfg.d, heads=cfg.heads, mlp_dim=cfg.mlp_dim,
-        vocab=cfg.vocab, seed=cfg.decoder_seed, max_positions=cfg.max_positions,
-    ))
-    pipe_cfg = PipelineConfig(
-        spatial_weight=cfg.w, mode=cfg.mode, manual_threshold=cfg.k,
-        degradation_threshold=cfg.m, decode_steps=cfg.decode_steps,
-    )
+    echo = {k: v for k, v in asdict(cfg).items() if k in _READS[command] | {"n", "f", "d"}}
     _, report = run_pipeline(
-        decoder, video, PromptEmbeddings(system, instruction), pipe_cfg,
+        Decoder(decoder_cfg), video, PromptEmbeddings(system, instruction), pipe_cfg,
         config_echo=echo,
     )
     _emit(report.to_json(), args.out_path)
@@ -185,7 +188,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 def cmd_gen(args: argparse.Namespace) -> int:
     if args.out_path is None:
         raise ConfigError("gen requires --out")
-    cfg = resolve_config(args, _GEN_KEYS)
+    cfg = resolve_config(args, "gen")
     video = _synthetic_video(cfg)
     write_video(args.out_path, video)
     _emit(json.dumps({
@@ -196,7 +199,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
-    cfg = resolve_config(args, _BENCH_KEYS)
+    cfg = resolve_config(args, "bench")
     try:
         scales = tuple(int(s) for s in args.scales.split(","))
     except ValueError as exc:
@@ -209,50 +212,39 @@ def cmd_bench(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """One subcommand per command; each takes a flag for every setting in
+    both ``_FLAGS`` and the settings it reads (``run --in`` shares
+    ``run``'s parser, and ``resolve_config`` rejects the flags it does
+    not read)."""
     parser = argparse.ArgumentParser(
         prog="sharpv",
         description="Two-stage visual token pruning and KV-cache eviction harness.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, pattern=True, prune_flags=True):
-        if pattern:
-            p.add_argument("--pattern", help="static | uniform:RATE | burst:I,J | mixed:SEG+SEG")
-        p.add_argument("--n", type=int, help="frame count")
-        p.add_argument("--f", type=int, help="tokens per frame")
-        p.add_argument("--d", type=int, help="embedding dimension")
-        p.add_argument("--seed", type=int, help="generation seed")
-        if prune_flags:
-            p.add_argument("--mode", choices=("adaptive", "manual"))
-            p.add_argument("--w", type=float, help="spatial weight in combined importance")
-            p.add_argument("--k", type=float, help="manual-mode keep threshold")
-            p.add_argument("--m", type=float, help="cache-eviction similarity threshold")
-            p.add_argument("--decode-steps", type=int, dest="decode_steps")
+    parsers = {}
+    for command, handler, help_text in (
+        ("run", cmd_run, "run the full pipeline, print a JSON report"),
+        ("gen", cmd_gen, "write a synthetic video tensor file"),
+        ("bench", cmd_bench, "scaling tables for scoring time and cache bytes"),
+    ):
+        p = parsers[command] = sub.add_parser(command, help=help_text)
+        for name, text in _FLAGS.items():
+            if name in _READS[command]:
+                p.add_argument("--" + name.replace("_", "-"), type=_TYPES[name], help=text)
         p.add_argument("--out", dest="out_path", help="output path (default stdout)")
         p.add_argument("--config", help="JSON config file")
-
-    run_p = sub.add_parser("run", help="run the full pipeline, print a JSON report")
-    common(run_p)
-    run_p.add_argument("--in", dest="in_path", help="read video tokens from a tensor file")
-    run_p.set_defaults(handler=cmd_run)
-
-    gen_p = sub.add_parser("gen", help="write a synthetic video tensor file")
-    common(gen_p, prune_flags=False)
-    gen_p.set_defaults(handler=cmd_gen)
-
-    bench_p = sub.add_parser("bench", help="scaling tables for scoring time and cache bytes")
-    common(bench_p, pattern=False, prune_flags=False)
-    bench_p.add_argument("--scales", default=",".join(map(str, bench_mod.DEFAULT_SCALES)),
-                         help="comma-separated size multipliers")
-    bench_p.add_argument("--repeats", type=int, default=bench_mod.DEFAULT_REPEATS,
-                         help="timing repetitions per size")
-    bench_p.set_defaults(handler=cmd_bench)
+        p.set_defaults(handler=handler)
+    parsers["run"].add_argument("--in", dest="in_path",
+                                help="read video tokens from a tensor file")
+    parsers["bench"].add_argument("--scales", default=",".join(map(str, bench_mod.DEFAULT_SCALES)),
+                                  help="comma-separated size multipliers")
+    parsers["bench"].add_argument("--repeats", type=int, default=bench_mod.DEFAULT_REPEATS,
+                                  help="timing repetitions per size")
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.handler(args)
     except (ConfigError, PositionOverflowError, ShapeMismatchError) as exc:

@@ -96,6 +96,7 @@ import numpy as np
 
 from .cache import KVCacheLayer, Segment, SegmentedSequence
 from .errors import ConfigError, PositionOverflowError, ShapeMismatchError
+from .tensorio import MAX_ELEMENTS
 
 _LN_EPS = 1e-5
 _MASKED = -np.inf
@@ -148,6 +149,18 @@ class DecoderConfig:
             )
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        # the weights (embedding and head; per layer four (d, d) and two
+        # (d, mlp_dim) blocks) and a cache of max_positions keys and values
+        # in every layer, so a decoder that could not be built or filled
+        # is rejected before anything is allocated
+        d = self.model_dim
+        per_layer = 4 * d * d + 2 * d * self.mlp_dim + 2 * self.max_positions * d
+        elements = 2 * self.vocab * d + self.layers * per_layer
+        if elements > MAX_ELEMENTS:
+            raise ConfigError(
+                f"decoder weights and a full cache hold {elements} values, "
+                f"over the element budget of {MAX_ELEMENTS}"
+            )
 
     @property
     def head_dim(self) -> int:

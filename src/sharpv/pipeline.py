@@ -30,11 +30,13 @@ from .errors import ConfigError, PositionOverflowError, ShapeMismatchError
 from .memory import apply_discard, degradation_profile, discard_decision, reencode_positions
 from .pruner import PrunerConfig, VideoTokens, prune_video
 from .report import RunReport, validate_report
+from .vecmath import check_value_range
 
 
 @dataclass(frozen=True)
 class PromptEmbeddings:
-    """Pre-embedded text surrounding the visual span."""
+    """Pre-embedded text surrounding the visual span; every value must be
+    finite and within float32's range (ValueError otherwise)."""
 
     system: np.ndarray  # (system_len, d)
     instruction: np.ndarray  # (instruction_len, d)
@@ -43,6 +45,7 @@ class PromptEmbeddings:
         for name, arr in (("system", self.system), ("instruction", self.instruction)):
             if arr.ndim != 2:
                 raise ShapeMismatchError(f"{name} embeddings must be 2-d, got {arr.shape}")
+            check_value_range(arr, f"{name} embeddings")
         if self.system.shape[1] != self.instruction.shape[1]:
             raise ShapeMismatchError(
                 "system and instruction embeddings disagree on dimension: "

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, ShapeMismatchError
-from .vecmath import unit_rows
+from .vecmath import check_value_range, unit_rows
 
 MODE_ADAPTIVE = "adaptive"
 MODE_MANUAL = "manual"
@@ -46,7 +46,8 @@ MODE_MANUAL = "manual"
 class VideoTokens:
     """An (n frames x f tokens x d dims) stack of visual token embeddings.
 
-    ``data`` is frame-major: rows [t*f, (t+1)*f) belong to frame t.
+    ``data`` is frame-major: rows [t*f, (t+1)*f) belong to frame t. Every
+    value must be finite and within float32's range (ValueError otherwise).
     """
 
     n: int
@@ -62,8 +63,7 @@ class VideoTokens:
             raise ShapeMismatchError(
                 f"data shape {arr.shape} does not match ({self.n * self.f}, {self.d})"
             )
-        if not np.isfinite(arr).all():
-            raise ValueError("video tokens contain NaN or Inf")
+        check_value_range(arr, "video tokens")
         object.__setattr__(self, "data", arr)
 
     def frame(self, t: int) -> np.ndarray:

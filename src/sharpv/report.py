@@ -35,6 +35,11 @@ from .errors import InvariantViolation
 
 SCHEMA_VERSION = 1
 
+# How far a per_layer_sim entry may pass +-1 and still count as a cosine:
+# a report that agrees with a valid one to the benchmark gate's relative
+# tolerance of 1e-9 is valid too.
+_SIM_SLACK = 1e-9
+
 # Excluded from determinism comparisons and golden files.
 TIMING_FIELDS = ("ttft_seconds", "tpot_seconds")
 
@@ -89,6 +94,9 @@ def validate_report(report: RunReport) -> None:
     if any(k < 1 for k in report.per_frame_keep_counts):
         raise InvariantViolation("every frame must keep at least one token")
     n_layers = len(report.per_layer_sim)
+    for s in report.per_layer_sim:
+        if not -1.0 - _SIM_SLACK <= s <= 1.0 + _SIM_SLACK:  # NaN fails too
+            raise InvariantViolation(f"layer similarity {s} outside [-1, 1]")
     if any(not 0 <= l < n_layers for l in report.discarded_layers):
         raise InvariantViolation(
             f"discarded layer index outside 0..{n_layers - 1}: {report.discarded_layers}"

@@ -13,6 +13,11 @@ normalizes to (signed) zeros, so its dissimilarity is 1 to any unit
 direction and 0 to another zero vector, and any cosine with it is 0. So a
 row cosine is the dot product of the two ``unit_rows`` up to rounding,
 and identical rows score exactly 1.
+
+A huge row is never mistaken for the zero vector: ``VideoTokens`` and
+``PromptEmbeddings`` hold values within float32's range
+(``check_value_range``), so no sum of squares of a run's rows can
+overflow here.
 """
 
 from __future__ import annotations
@@ -21,6 +26,20 @@ import numpy as np
 
 # Norms below this are treated as zero.
 NORM_EPS = 1e-12
+# The largest magnitude a run's input arrays may hold: float32's, the
+# tensor file's. A row's sum of squares then stays below d * 1.2e77, so
+# the product of two of them in ``row_cosines`` cannot overflow float64.
+FLOAT32_MAX = float(np.finfo(np.float32).max)
+
+
+def check_value_range(arr: np.ndarray, what: str) -> None:
+    """ValueError unless every value of ``arr`` is a number of magnitude
+    at most ``FLOAT32_MAX``; NaN fails both bounds. Its min and max take
+    no full-size temporary."""
+    if arr.size and not -FLOAT32_MAX <= arr.min() <= arr.max() <= FLOAT32_MAX:
+        raise ValueError(
+            f"{what} must be finite, with magnitudes at most float32's {FLOAT32_MAX:.4g}"
+        )
 
 
 def _zero_rule(sq: np.ndarray) -> np.ndarray:

@@ -46,10 +46,10 @@ def spans_for(seq_len=10, visual=(2, 6)):
 class TestSegmentedSequence:
     def test_spans_partition(self):
         s = SegmentedSequence(system_len=3, visual_len=5, instruction_len=2)
-        assert s.system_span == (0, 3)
         assert s.visual_span == (3, 8)
-        assert s.instruction_span == (8, 10)
         assert s.total_len == 10
+        assert list(s.tags()) == [Segment.SYSTEM] * 3 + [Segment.VISUAL] * 5 + [
+            Segment.INSTRUCTION] * 2
 
     def test_tags_cover(self):
         s = SegmentedSequence(system_len=1, visual_len=2, instruction_len=1)

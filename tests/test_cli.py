@@ -1,6 +1,10 @@
+import argparse
+import dataclasses
 import json
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -376,8 +380,9 @@ class TestBench:
         ((2, 4, 16), {"scales": (1, 0, 2)}, "must be >= 1"),
         ((10_000_000, 10_000_000, 64), {}, "element budget"),
         ((64, 64, 16), {}, "max_positions"),  # 16,384 positions, far under the budget
+        ((2, 4, 16), {"seed": -1}, "seed must be >= 0"),
     ], ids=["short-ladder", "n", "f", "d", "negative-n-f", "repeats", "scale",
-            "element-budget", "max-positions"])
+            "element-budget", "max-positions", "seed"])
     def test_run_bench_checks_every_input_before_any_work(
         self, monkeypatch, args, kwargs, match
     ):
@@ -392,6 +397,77 @@ class TestBench:
         monkeypatch.setattr(cli.bench_mod, "Decoder", built)
         with pytest.raises(ConfigError, match="max_positions"):
             cli.bench_mod.cache_bytes_table([8, DecoderConfig().max_positions + 1])
+
+
+def subparser(command):
+    sub = next(a for a in cli.build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    return sub.choices[command]
+
+
+class TestSettingsTable:
+    @pytest.mark.parametrize("command", ["run", "gen", "bench"])
+    def test_parser_flags_are_the_settings_the_command_reads(self, command):
+        own = {"help", "out_path", "config", "in_path", "scales", "repeats"}
+        settings = {a.dest for a in subparser(command)._actions} - own
+        assert settings == cli._FLAGS.keys() & cli._READS[command]
+
+    @pytest.mark.parametrize("command, key", [
+        (command, field.name) for command, reads in cli._READS.items()
+        for field in dataclasses.fields(cli.HarnessConfig) if field.name not in reads
+    ])
+    def test_config_key_the_command_does_not_read_exits_2(
+        self, capsys, tmp_path, monkeypatch, command, key
+    ):
+        video, cfg, out = tmp_path / "v.svt", tmp_path / "cfg.json", tmp_path / "out"
+        assert run_cli(capsys, "gen", "--out", str(video), "--n", "2", "--f", "4")[0] == 0
+        forbid_bench_work(monkeypatch)
+        cfg.write_text(json.dumps({key: getattr(cli.HarnessConfig(), key)}))
+        argv = {"run --in": ("run", "--in", str(video)), "gen": ("gen",), "bench": ("bench",)}
+        code, stdout, err = run_cli(capsys, *argv[command], "--config", str(cfg), "--out", str(out))
+        assert code == 2
+        assert f"config keys {command} does not read: {key}" in err
+        assert stdout == ""
+        assert not out.exists()
+
+    def test_bad_mode_exits_2_before_a_video_is_made(self, capsys, monkeypatch):
+        def made(*args, **kwargs):
+            raise AssertionError("video made")
+
+        monkeypatch.setattr(cli, "gen_synthetic_video", made)
+        code, out, err = run_cli(capsys, "run", "--mode", "bogus")
+        assert code == 2
+        assert out == ""
+        assert "mode must be" in err
+
+    @pytest.mark.parametrize("flags, config", [
+        (("--d", "20000"), None), ((), {"vocab": 100_000_000}),
+    ], ids=["d", "vocab"])
+    def test_decoder_over_the_element_budget_exits_2_before_any_work(
+        self, capsys, tmp_path, monkeypatch, flags, config
+    ):
+        def started(*args, **kwargs):
+            raise AssertionError("work started")
+
+        monkeypatch.setattr(cli, "gen_synthetic_video", started)
+        monkeypatch.setattr(cli, "Decoder", started)
+        argv = ["run", *flags]
+        if config is not None:
+            path = tmp_path / "cfg.json"
+            path.write_text(json.dumps(config))
+            argv += ["--config", str(path)]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert "element budget" in err
+
+    @pytest.mark.parametrize("command", ["run", "gen", "bench"])
+    def test_readme_flags_line_lists_the_parser_options(self, command):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        section = readme.split(f"### `sharpv {command}`")[1].split("\n### ")[0]
+        listed = section.split("Flags: `")[1].split("`")[0]
+        options = {s for a in subparser(command)._actions for s in a.option_strings}
+        assert set(re.findall(r"--[a-z-]+", listed)) == options - {"-h", "--help"}
 
 
 class TestSubprocess:

@@ -53,6 +53,14 @@ class TestConfig:
         with pytest.raises(ConfigError):
             DecoderConfig(layers=0)
 
+    @pytest.mark.parametrize("overrides", [
+        {"model_dim": 20_000}, {"vocab": 100_000_000}, {"layers": 300},
+        {"mlp_dim": 1_000_000}, {"max_positions": 1_000_000},
+    ], ids=["d", "vocab", "layers", "mlp_dim", "max_positions"])
+    def test_rejects_shapes_over_the_element_budget(self, overrides):
+        with pytest.raises(ConfigError, match="element budget"):
+            DecoderConfig(**overrides)
+
     def test_rejects_negative_seed(self):
         with pytest.raises(ConfigError):
             DecoderConfig(seed=-1)

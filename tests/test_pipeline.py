@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import tracemalloc
 from pathlib import Path
@@ -47,6 +48,19 @@ class TestPipelineConfig:
     def test_bad_field_raises_on_construction(self, fields):
         with pytest.raises(ConfigError):
             PipelineConfig(**fields)
+
+
+class TestPromptEmbeddings:
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, 1e39, -1e39])
+    @pytest.mark.parametrize("segment", ["system", "instruction"])
+    def test_rejects_values_outside_float32_range(self, segment, value):
+        _, prompt = make_inputs()
+        arrays = {"system": prompt.system.copy(), "instruction": prompt.instruction.copy()}
+        arrays[segment][0, 1] = value
+        with pytest.raises(ValueError, match=f"{segment} embeddings"):
+            PromptEmbeddings(**arrays)
+        arrays[segment][0, 1] = np.copysign(float(np.finfo(np.float32).max), value)
+        PromptEmbeddings(**arrays)
 
 
 class TestPositionBudget:
@@ -355,6 +369,15 @@ class TestReportContract:
         _, report = run_pipeline(decoder, video, prompt, PipelineConfig(decode_steps=2))
         bad = RunReport(**{**report.to_dict(), "token_budget": report.token_budget + 1e-9})
         with pytest.raises(InvariantViolation):
+            validate_report(bad)
+
+    @pytest.mark.parametrize("sim", [1.5, -1.5, 1 + 1e-6, np.nan])
+    def test_validate_rejects_layer_similarity_outside_unit_range(self, sim):
+        _, report = run_pipeline(toy_decoder(), *make_inputs(), PipelineConfig(decode_steps=2))
+        edges = [1.0, -1.0, *report.per_layer_sim[2:]]
+        validate_report(dataclasses.replace(report, per_layer_sim=edges))
+        bad = dataclasses.replace(report, per_layer_sim=[*report.per_layer_sim[:-1], sim])
+        with pytest.raises(InvariantViolation, match="layer similarity"):
             validate_report(bad)
 
     def test_timing_fields_nonnegative(self):

@@ -82,6 +82,15 @@ class TestVideoTokens:
         with pytest.raises(ValueError):
             VideoTokens(2, 3, 4, data)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, 1e39, -1e39])
+    def test_rejects_values_outside_float32_range(self, value):
+        data = np.zeros((6, 4))
+        data[2, 1] = value
+        with pytest.raises(ValueError, match="float32"):
+            VideoTokens(2, 3, 4, data)
+        data[2, 1] = np.copysign(float(np.finfo(np.float32).max), value)
+        VideoTokens(2, 3, 4, data)
+
     def test_frame_view(self):
         v = random_video(0)
         assert np.array_equal(v.frame(2), v.data[2 * v.f : 3 * v.f])

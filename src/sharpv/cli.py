@@ -22,12 +22,13 @@ flag (system_len, instruction_len, layers, heads, mlp_dim, vocab,
 max_positions, decoder_seed) are settable only via the file.
 
 The harness only parses arguments, calls the library and emits; `run`
-builds its decoder and pipeline configs, which check every setting they
-hold, before it makes or reads a video. Decoder and pipeline defaults
-are ``DecoderConfig``'s and ``PipelineConfig``'s, and the bench ladder's
-defaults and input checks are in ``bench``. The video and prompt
-defaults (pattern, n, f, seed, prompt lengths) live here, their only
-user.
+builds its pipeline and decoder configs, which check every setting they
+hold, before it makes a video. `run --in` learns d from its file, so it
+checks its other settings before the read and the decoder's after.
+Decoder and pipeline defaults are ``DecoderConfig``'s and
+``PipelineConfig``'s, and the bench ladder's defaults and input checks
+are in ``bench``. The video and prompt defaults (pattern, n, f, seed,
+prompt lengths) live here, their only user.
 
 Exit codes: 0 success, 2 configuration error, 3 I/O or file-format
 error, 4 report invariant violation.
@@ -87,6 +88,9 @@ class HarnessConfig:
     decoder_seed: int = DecoderConfig.seed
 
     def __post_init__(self):
+        # the library checks these too, but `run --in` would read its file first
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.system_len < 1 or self.instruction_len < 1:
             raise ConfigError("prompt segment lengths must be >= 1")
 
@@ -161,18 +165,18 @@ def _synthetic_video(cfg: HarnessConfig) -> VideoTokens:
 def cmd_run(args: argparse.Namespace) -> int:
     command = "run" if args.in_path is None else "run --in"
     cfg = resolve_config(args, command)
-    # both configs check their settings before a video is made or read
+    # the configs check their settings before a video is made; `--in`
+    # learns d from its file, so it reads that before the decoder's checks
     pipe_cfg = PipelineConfig(spatial_weight=cfg.w, mode=cfg.mode, manual_threshold=cfg.k,
                               degradation_threshold=cfg.m, decode_steps=cfg.decode_steps)
+    if args.in_path is not None:
+        video = read_video(args.in_path)
+        cfg = replace(cfg, n=video.n, f=video.f, d=video.d)
     decoder_cfg = DecoderConfig(layers=cfg.layers, model_dim=cfg.d, heads=cfg.heads,
                                 mlp_dim=cfg.mlp_dim, vocab=cfg.vocab, seed=cfg.decoder_seed,
                                 max_positions=cfg.max_positions)
     if args.in_path is None:
         video = _synthetic_video(cfg)
-    else:
-        video = read_video(args.in_path)
-        cfg = replace(cfg, n=video.n, f=video.f, d=video.d)
-        decoder_cfg = replace(decoder_cfg, model_dim=video.d)
     system, instruction = gen_prompt_embeddings(
         cfg.seed, cfg.system_len, cfg.instruction_len, cfg.d
     )

@@ -440,6 +440,29 @@ class TestSettingsTable:
         assert out == ""
         assert "mode must be" in err
 
+    def test_in_checks_the_decoder_at_the_files_d(self, capsys, tmp_path):
+        # 3 heads divide the file's d of 48, not the default d of 64
+        video, cfg = tmp_path / "v.svt", tmp_path / "cfg.json"
+        assert run_cli(capsys, "gen", "--out", str(video), "--n", "2", "--f", "4",
+                       "--d", "48")[0] == 0
+        cfg.write_text(json.dumps({"heads": 3, "layers": 2}))
+        report = run_report(capsys, "--in", str(video), "--decode-steps", "2",
+                            "--config", str(cfg))
+        assert (report["config"]["d"], report["config"]["heads"]) == (48, 3)
+
+    def test_in_negative_seed_exits_2_before_the_file_is_read(self, capsys, tmp_path,
+                                                               monkeypatch):
+        def read(*args, **kwargs):
+            raise AssertionError("file read")
+
+        video = tmp_path / "v.svt"
+        assert run_cli(capsys, "gen", "--out", str(video), "--n", "2", "--f", "4")[0] == 0
+        monkeypatch.setattr(cli, "read_video", read)
+        code, out, err = run_cli(capsys, "run", "--in", str(video), "--seed", "-1")
+        assert code == 2
+        assert out == ""
+        assert "seed must be >= 0" in err
+
     @pytest.mark.parametrize("flags, config", [
         (("--d", "20000"), None), ((), {"vocab": 100_000_000}),
     ], ids=["d", "vocab"])

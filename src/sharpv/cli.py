@@ -23,8 +23,9 @@ max_positions, decoder_seed) are settable only via the file.
 
 The harness only parses arguments, calls the library and emits; `run`
 builds its pipeline and decoder configs, which check every setting they
-hold, before it makes a video. `run --in` learns d from its file, so it
-checks its other settings before the read and the decoder's after.
+hold, before it makes or reads a video. `run --in` learns d from its
+file's header, so it checks the decoder's settings between that header
+and the payload.
 Decoder and pipeline defaults are ``DecoderConfig``'s and
 ``PipelineConfig``'s, and the bench ladder's defaults and input checks
 are in ``bench``. The video and prompt defaults (pattern, n, f, seed,
@@ -63,7 +64,7 @@ from .synth import (
     gen_synthetic_video,
     parse_pattern,
 )
-from .tensorio import read_video, write_video
+from .tensorio import read_video, read_video_header, write_video
 
 
 @dataclass(frozen=True)
@@ -165,18 +166,17 @@ def _synthetic_video(cfg: HarnessConfig) -> VideoTokens:
 def cmd_run(args: argparse.Namespace) -> int:
     command = "run" if args.in_path is None else "run --in"
     cfg = resolve_config(args, command)
-    # the configs check their settings before a video is made; `--in`
-    # learns d from its file, so it reads that before the decoder's checks
+    # the configs check their settings before a video is made or read;
+    # `--in` learns d from its file's header, before the payload is read
     pipe_cfg = PipelineConfig(spatial_weight=cfg.w, mode=cfg.mode, manual_threshold=cfg.k,
                               degradation_threshold=cfg.m, decode_steps=cfg.decode_steps)
     if args.in_path is not None:
-        video = read_video(args.in_path)
-        cfg = replace(cfg, n=video.n, f=video.f, d=video.d)
+        n, f, d = read_video_header(args.in_path)
+        cfg = replace(cfg, n=n, f=f, d=d)
     decoder_cfg = DecoderConfig(layers=cfg.layers, model_dim=cfg.d, heads=cfg.heads,
                                 mlp_dim=cfg.mlp_dim, vocab=cfg.vocab, seed=cfg.decoder_seed,
                                 max_positions=cfg.max_positions)
-    if args.in_path is None:
-        video = _synthetic_video(cfg)
+    video = _synthetic_video(cfg) if args.in_path is None else read_video(args.in_path)
     system, instruction = gen_prompt_embeddings(
         cfg.seed, cfg.system_len, cfg.instruction_len, cfg.d
     )

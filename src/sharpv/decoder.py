@@ -443,7 +443,9 @@ class Decoder:
             q = self._split_heads(q)
             # Keys go head-major, so every query block multiplies by a
             # prefix whose (head, channel) rows are contiguous runs; values
-            # are projected straight into their buffer.
+            # are projected straight into their buffer. The order (key
+            # buffer, key temporary freed, then value buffer) keeps the
+            # peak: the value buffer never coexists with the temporary.
             key_buf = np.empty((heads, hd, capacity))
             key_buf[:, :, :total] = (xn @ lw.wk).reshape(total, heads, hd).transpose(1, 2, 0)
             value_buf = np.empty((capacity, heads, hd))

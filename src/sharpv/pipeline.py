@@ -79,15 +79,7 @@ def run_pipeline(
     config_echo: dict | None = None,
 ) -> tuple[list, RunReport]:
     """Returns (generated token ids, validated RunReport)."""
-    if video.d != decoder.config.model_dim:
-        raise ShapeMismatchError(
-            f"video dimension {video.d} != decoder model_dim {decoder.config.model_dim}"
-        )
-    if prompt.system.shape[1] != decoder.config.model_dim:
-        raise ShapeMismatchError(
-            f"prompt dimension {prompt.system.shape[1]} != decoder model_dim "
-            f"{decoder.config.model_dim}"
-        )
+    _check_widths(decoder, video, prompt)
     t_start = time.perf_counter()
 
     pruned = prune_video(video, config)
@@ -181,10 +173,23 @@ def baseline_generate(
     """Greedy decode with no pruning and no eviction, for comparison."""
     if decode_steps < 1:
         raise ConfigError(f"decode_steps must be >= 1, got {decode_steps}")
+    _check_widths(decoder, video, prompt)
     embedded, spans = _assemble(prompt, video.data)
     _check_positions(decoder, spans, decode_steps)
     prefill = decoder.prefill(embedded, spans, spare_rows=decode_steps - 1)
     return _greedy(decoder, prefill.cache, int(np.argmax(prefill.logits)), decode_steps)
+
+
+def _check_widths(decoder: Decoder, video: VideoTokens, prompt: PromptEmbeddings) -> None:
+    if video.d != decoder.config.model_dim:
+        raise ShapeMismatchError(
+            f"video dimension {video.d} != decoder model_dim {decoder.config.model_dim}"
+        )
+    if prompt.system.shape[1] != decoder.config.model_dim:
+        raise ShapeMismatchError(
+            f"prompt dimension {prompt.system.shape[1]} != decoder model_dim "
+            f"{decoder.config.model_dim}"
+        )
 
 
 def _assemble(prompt: PromptEmbeddings, visual: np.ndarray) -> tuple[np.ndarray, SegmentedSequence]:

@@ -20,6 +20,11 @@ Patterns:
   Each segment starts from fresh randomness, so segment boundaries look
   like bursts.
 
+Each pattern type checks its own fields when it is built, so a pattern
+made in code gets the same checks as one ``parse_pattern`` reads from
+text, and draws its own ``(n, f, d)`` frames in ``generate``;
+``parse_pattern`` holds only the text grammar.
+
 Generation is pure: the same (spec, seed) always yields bit-identical
 tensors. Values are quantized to float32 so the on-disk tensor format
 round-trips exactly.
@@ -43,7 +48,10 @@ _STREAM_INSTRUCTION = 2
 
 @dataclass(frozen=True)
 class Static:
-    pass
+    def generate(self, n: int, f: int, d: int, rng: np.random.Generator) -> np.ndarray:
+        # one direction everywhere: zero spatial spread and zero motion, so
+        # every frame (including the first) prunes down to the 1-token floor
+        return np.broadcast_to(rng.standard_normal(d), (n, f, d)).copy()
 
 
 @dataclass(frozen=True)
@@ -54,15 +62,61 @@ class UniformMotion:
         if not np.isfinite(self.rate) or self.rate < 0:
             raise ConfigError(f"rate must be a finite value >= 0, got {self.rate}")
 
+    def generate(self, n: int, f: int, d: int, rng: np.random.Generator) -> np.ndarray:
+        if d < 2:
+            raise ConfigError("uniform motion needs d >= 2 for a rotation plane")
+        planes = np.empty((f, 2, d))
+        for j in range(f):
+            planes[j, 0], planes[j, 1] = _orthonormal_pair(rng, d)
+        phase = rng.uniform(0.0, 2.0 * np.pi, size=f)
+        angles = phase[None, :] + np.arange(n)[:, None] * self.rate  # (n, f)
+        return (np.cos(angles)[..., None] * planes[None, :, 0, :]
+                + np.sin(angles)[..., None] * planes[None, :, 1, :])
+
 
 @dataclass(frozen=True)
 class Burst:
     frames: tuple[int, ...]  # 0-based frame indices redrawn from scratch
 
+    def __post_init__(self):
+        if not self.frames or any(i < 0 for i in self.frames):
+            raise ConfigError(f"burst needs non-negative frame indices, got {self.frames}")
+
+    def generate(self, n: int, f: int, d: int, rng: np.random.Generator) -> np.ndarray:
+        bad = [i for i in self.frames if i >= n]
+        if bad:
+            raise ConfigError(f"burst frames {bad} out of range for n={n}")
+        fresh = set(self.frames) | {0}
+        out = np.empty((n, f, d))
+        for t in range(n):
+            out[t] = rng.standard_normal((f, d)) if t in fresh else out[t - 1]
+        return out
+
+
+_SEGMENT_PATTERNS = (Static, UniformMotion, Burst)
+
 
 @dataclass(frozen=True)
 class Mixed:
     segments: tuple[tuple[object, int], ...]  # (inner pattern, frame count)
+
+    def __post_init__(self):
+        for inner, count in self.segments:
+            if not isinstance(inner, _SEGMENT_PATTERNS):
+                raise ConfigError(f"mixed segment {inner!r} must be static, uniform or burst")
+            if count < 1:
+                raise ConfigError(f"segment count must be >= 1, got {count}")
+
+    def generate(self, n: int, f: int, d: int, rng: np.random.Generator) -> np.ndarray:
+        total = sum(count for _, count in self.segments)
+        if total != n:
+            raise ConfigError(f"mixed segments cover {total} frames but n={n}")
+        # One draw from the parent per segment keeps segment streams tied
+        # to the top-level seed without sharing state between segments.
+        return np.concatenate([
+            inner.generate(count, f, d, np.random.default_rng([int(rng.integers(0, 2**63 - 1)), i]))
+            for i, (inner, count) in enumerate(self.segments)
+        ], axis=0)
 
 
 @dataclass(frozen=True)
@@ -75,7 +129,8 @@ class SyntheticVideoSpec:
 
 
 def parse_pattern(text: str) -> object:
-    """Parse the CLI pattern grammar; raises ConfigError on anything malformed."""
+    """Parse the CLI pattern grammar; raises ConfigError on anything malformed
+    (each pattern type checks its own values)."""
     text = text.strip()
     if text == "static":
         return Static()
@@ -90,8 +145,6 @@ def parse_pattern(text: str) -> object:
             frames = tuple(int(part) for part in body.split(",") if part != "")
         except ValueError as exc:
             raise ConfigError(f"bad burst frame list in {text!r}") from exc
-        if not frames or any(i < 0 for i in frames):
-            raise ConfigError(f"burst needs non-negative frame indices, got {text!r}")
         return Burst(frames=frames)
     if text.startswith("mixed:"):
         segments = []
@@ -103,12 +156,7 @@ def parse_pattern(text: str) -> object:
                 count = int(count_text)
             except ValueError as exc:
                 raise ConfigError(f"bad segment count in {part!r}") from exc
-            if count < 1:
-                raise ConfigError(f"segment count must be >= 1 in {part!r}")
-            inner = parse_pattern(inner_text)
-            if isinstance(inner, Mixed):
-                raise ConfigError("mixed segments cannot nest another mixed pattern")
-            segments.append((inner, count))
+            segments.append((parse_pattern(inner_text), count))
         return Mixed(segments=tuple(segments))
     raise ConfigError(f"unknown pattern {text!r}")
 
@@ -130,56 +178,6 @@ def _orthonormal_pair(rng: np.random.Generator, d: int) -> tuple[np.ndarray, np.
         return u, b / nb
 
 
-def _gen_frames(pattern: object, n: int, f: int, d: int, rng: np.random.Generator) -> np.ndarray:
-    if isinstance(pattern, Static):
-        # one direction everywhere: zero spatial spread and zero motion, so
-        # every frame (including the first) prunes down to the 1-token floor
-        token = rng.standard_normal(d)
-        return np.broadcast_to(token, (n, f, d)).copy()
-
-    if isinstance(pattern, UniformMotion):
-        if d < 2:
-            raise ConfigError("uniform motion needs d >= 2 for a rotation plane")
-        planes = np.empty((f, 2, d))
-        for j in range(f):
-            planes[j, 0], planes[j, 1] = _orthonormal_pair(rng, d)
-        phase = rng.uniform(0.0, 2.0 * np.pi, size=f)
-        steps = np.arange(n)[:, None]  # (n, 1)
-        angles = phase[None, :] + steps * pattern.rate  # (n, f)
-        return (
-            np.cos(angles)[..., None] * planes[None, :, 0, :]
-            + np.sin(angles)[..., None] * planes[None, :, 1, :]
-        )
-
-    if isinstance(pattern, Burst):
-        bad = [i for i in pattern.frames if i >= n]
-        if bad:
-            raise ConfigError(f"burst frames {bad} out of range for n={n}")
-        fresh = set(pattern.frames) | {0}
-        out = np.empty((n, f, d))
-        for t in range(n):
-            out[t] = rng.standard_normal((f, d)) if t in fresh else out[t - 1]
-        return out
-
-    if isinstance(pattern, Mixed):
-        total = sum(count for _, count in pattern.segments)
-        if total != n:
-            raise ConfigError(f"mixed segments cover {total} frames but n={n}")
-        parts = []
-        for i, (inner, count) in enumerate(pattern.segments):
-            seg_rng = np.random.default_rng([_child_seed(rng), i])
-            parts.append(_gen_frames(inner, count, f, d, seg_rng))
-        return np.concatenate(parts, axis=0)
-
-    raise ConfigError(f"unknown pattern object {pattern!r}")
-
-
-def _child_seed(rng: np.random.Generator) -> int:
-    # One draw from the parent keeps segment streams tied to the top-level
-    # seed without sharing state between segments.
-    return int(rng.integers(0, 2**63 - 1))
-
-
 def gen_synthetic_video(spec: SyntheticVideoSpec) -> VideoTokens:
     """Generate the video described by spec; bit-reproducible from the seed."""
     if spec.n < 1 or spec.f < 1 or spec.d < 1:
@@ -190,8 +188,10 @@ def gen_synthetic_video(spec: SyntheticVideoSpec) -> VideoTokens:
         raise ConfigError(
             f"n*f*d = {spec.n * spec.f * spec.d} exceeds the element budget of {MAX_ELEMENTS}"
         )
+    if not isinstance(spec.pattern, (*_SEGMENT_PATTERNS, Mixed)):
+        raise ConfigError(f"unknown pattern object {spec.pattern!r}")
     rng = np.random.default_rng([spec.seed, _STREAM_VIDEO])
-    frames = _gen_frames(spec.pattern, spec.n, spec.f, spec.d, rng)
+    frames = spec.pattern.generate(spec.n, spec.f, spec.d, rng)
     data = frames.reshape(spec.n * spec.f, spec.d).astype(np.float32)
     return VideoTokens(spec.n, spec.f, spec.d, data.astype(np.float64))
 

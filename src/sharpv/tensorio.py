@@ -62,15 +62,7 @@ def read_video(path: str | Path) -> VideoTokens:
     whatever the path holds (a pipe or a device included).
     """
     with open(path, "rb") as fh:
-        header = fh.read(_HEADER.size)
-        if len(header) < _HEADER.size:
-            if header[: len(MAGIC)] != MAGIC[: len(header)]:
-                raise BadMagicError(f"not a video tensor file: {path}")
-            raise TruncatedFileError(f"file ends inside the header: {path}")
-        magic, n, f, d = _HEADER.unpack(header)
-        if magic != MAGIC:
-            raise BadMagicError(f"bad magic {magic!r} in {path}")
-        _check_dims(n, f, d)
+        n, f, d = _read_header(fh, path)
         expected = _HEADER.size + n * f * d * 4
         st = os.fstat(fh.fileno())
         if stat.S_ISREG(st.st_mode):
@@ -82,6 +74,26 @@ def read_video(path: str | Path) -> VideoTokens:
         raise TensorFormatError(f"payload contains NaN or Inf: {path}")
     data = values.astype(np.float64).reshape(n * f, d)
     return VideoTokens(n, f, d, data)
+
+
+def read_video_header(path: str | Path) -> tuple[int, int, int]:
+    """(n, f, d) from a video tensor file's header, with ``read_video``'s
+    header checks; no payload byte is read."""
+    with open(path, "rb") as fh:
+        return _read_header(fh, path)
+
+
+def _read_header(fh, path: str | Path) -> tuple[int, int, int]:
+    header = fh.read(_HEADER.size)
+    if len(header) < _HEADER.size:
+        if header[: len(MAGIC)] != MAGIC[: len(header)]:
+            raise BadMagicError(f"not a video tensor file: {path}")
+        raise TruncatedFileError(f"file ends inside the header: {path}")
+    magic, n, f, d = _HEADER.unpack(header)
+    if magic != MAGIC:
+        raise BadMagicError(f"bad magic {magic!r} in {path}")
+    _check_dims(n, f, d)
+    return n, f, d
 
 
 def _check_length(size: int, expected: int, path: str | Path) -> None:

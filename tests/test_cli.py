@@ -463,6 +463,26 @@ class TestSettingsTable:
         assert out == ""
         assert "seed must be >= 0" in err
 
+    @pytest.mark.parametrize("dims, config, message", [
+        (("1", "1", "20000"), {}, "over the element budget"),
+        (("2", "4", "48"), {"heads": 5}, "model_dim 48 not divisible by heads 5"),
+    ], ids=["element-budget", "heads"])
+    def test_in_checks_the_decoder_before_the_payload_is_read(
+        self, capsys, tmp_path, monkeypatch, dims, config, message
+    ):
+        def read(*args, **kwargs):
+            raise AssertionError("payload read")
+
+        video, cfg = tmp_path / "v.svt", tmp_path / "cfg.json"
+        n, f, d = dims
+        assert run_cli(capsys, "gen", "--out", str(video), "--n", n, "--f", f, "--d", d)[0] == 0
+        cfg.write_text(json.dumps(config))
+        monkeypatch.setattr(cli, "read_video", read)
+        code, out, err = run_cli(capsys, "run", "--in", str(video), "--config", str(cfg))
+        assert code == 2
+        assert out == ""
+        assert message in err
+
     @pytest.mark.parametrize("flags, config", [
         (("--d", "20000"), None), ((), {"vocab": 100_000_000}),
     ], ids=["d", "vocab"])

@@ -18,7 +18,9 @@ from sharpv.pipeline import (
 from sharpv.pruner import PrunerConfig, VideoTokens, prune_video
 from sharpv.report import TIMING_FIELDS, RunReport, validate_report
 from sharpv.synth import SyntheticVideoSpec, gen_prompt_embeddings, gen_synthetic_video, parse_pattern
-from sharpv.errors import ConfigError, InvariantViolation, PositionOverflowError
+from sharpv.errors import (
+    ConfigError, InvariantViolation, PositionOverflowError, ShapeMismatchError,
+)
 from reference_decoder import dense_masked_decode
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -87,6 +89,26 @@ class TestPositionBudget:
         monkeypatch.setattr(decoder, "prefill", prefill)
         with pytest.raises(PositionOverflowError, match="max_positions"):
             run(5)
+
+
+class TestInputWidths:
+    @pytest.mark.parametrize("pruned", [True, False], ids=["run_pipeline", "baseline_generate"])
+    @pytest.mark.parametrize("narrow", ["video", "prompt"])
+    def test_width_mismatch_fails_before_any_work(self, pruned, narrow, monkeypatch):
+        video, _ = make_inputs(d=32 if narrow == "video" else 64)
+        _, prompt = make_inputs(d=32 if narrow == "prompt" else 64)
+
+        def fail(*args, **kwargs):
+            raise AssertionError("work started")
+
+        monkeypatch.setattr(pipeline, "prune_video", fail)
+        monkeypatch.setattr(pipeline, "_assemble", fail)
+        message = f"{narrow} dimension 32 != decoder model_dim 64"
+        with pytest.raises(ShapeMismatchError, match=message):
+            if pruned:
+                run_pipeline(toy_decoder(), video, prompt, PipelineConfig())
+            else:
+                baseline_generate(toy_decoder(), video, prompt, 4)
 
 
 class TestNoOpIdentity:

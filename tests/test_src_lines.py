@@ -28,3 +28,10 @@ def test_main_counts_the_package(capsys):
     src_lines.main()
     out = capsys.readouterr().out
     assert out.startswith("sharpv: ") and out.rstrip().endswith(" code lines")
+
+
+def test_main_lists_every_module_once(capsys):
+    src_lines.main()
+    modules = [line.split(":")[0].strip() for line in capsys.readouterr().out.splitlines()[1:]]
+    expected = sorted(path.name for path in (TOOL.parent.parent / "src" / "sharpv").glob("*.py"))
+    assert modules == expected

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -135,6 +136,59 @@ class TestGeneration:
             gen_synthetic_video(SyntheticVideoSpec(n=0, f=4, d=4, seed=0))
         with pytest.raises(ConfigError):
             gen_synthetic_video(SyntheticVideoSpec(n=2, f=4, d=4, seed=-1))
+
+
+# Patterns built in code that break a field rule; each raises ConfigError
+# on construction, so it can never reach generation.
+BAD_PATTERNS = {
+    "burst-no-frames": lambda: Burst(frames=()),
+    "burst-negative-frame": lambda: Burst(frames=(-1,)),
+    "mixed-count-0": lambda: Mixed(segments=((Static(), 0), (UniformMotion(0.5), 6))),
+    "mixed-nested": lambda: Mixed(segments=((Mixed(segments=((Static(), 3),)), 3),
+                                            (Static(), 3))),
+    "mixed-segment-not-a-pattern": lambda: Mixed(segments=(("static", 6),)),
+}
+NOT_GENERATED = {**BAD_PATTERNS, "spec-pattern-is-text": lambda: "static"}
+
+
+class TestPatternChecks:
+    @pytest.mark.parametrize("build", BAD_PATTERNS.values(), ids=BAD_PATTERNS.keys())
+    def test_built_in_code_raises(self, build):
+        with pytest.raises(ConfigError):
+            build()
+
+    @pytest.mark.parametrize("build", NOT_GENERATED.values(), ids=NOT_GENERATED.keys())
+    def test_generation_raises(self, build):
+        with pytest.raises(ConfigError):
+            make(build(), n=6)
+
+
+class TestDigestPin:
+    """SHA-256 of the generated data, recorded before the pattern types drew
+    their own frames: any change to the draws, their order or the float32
+    quantization fails here."""
+
+    PATTERNS = {
+        "static": Static(),
+        "uniform": UniformMotion(0.5),
+        "burst": Burst(frames=(2, 5)),
+        "mixed": Mixed(segments=((Burst(frames=(1,)), 3), (UniformMotion(0.3), 5))),
+    }
+    DIGESTS = {
+        ("static", 0): "4ec67dc72cf08152a01ddbcafc1639cd89b2e73958d9fa9d7ae8198d16244ae5",
+        ("static", 7): "89888a2dcd9ad6f6d8f34e4dab8766a512da532362909ce68be79460de50b69b",
+        ("uniform", 0): "c72fdc719d959c334b1335210eddbf15f53d1df864782bd44c9243d21ce35748",
+        ("uniform", 7): "3238efb845df040ac41522b3e3e7cc2ac879b4c016fb0cfc1edba8a9ef772888",
+        ("burst", 0): "392fa6f9a0755800cfa21f70b987537fbdfeaeecf2950502f68f167ff0e5707c",
+        ("burst", 7): "2c112816c336cc432b1c4170ac913941bcaf17b5ed9881d7950ba515d9abe625",
+        ("mixed", 0): "c8c3257a631649b770820daac5b9b3f92d59fd490dba4f27c2f4c93ab97c8099",
+        ("mixed", 7): "bb8e359748c37287b4ee11728bae79a9927c648d19a2774f62725abf0cfbb810",
+    }
+
+    @pytest.mark.parametrize("name, seed", DIGESTS.keys(), ids=[f"{n}-{s}" for n, s in DIGESTS])
+    def test_data_digest(self, name, seed):
+        v = make(self.PATTERNS[name], n=8, f=6, d=16, seed=seed)
+        assert hashlib.sha256(v.data.tobytes()).hexdigest() == self.DIGESTS[name, seed]
 
 
 class TestVrOnPatterns:

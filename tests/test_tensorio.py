@@ -7,7 +7,7 @@ import pytest
 from sharpv.errors import BadMagicError, DimensionError, TensorFormatError, TruncatedFileError
 from sharpv.pruner import VideoTokens
 from sharpv.synth import SyntheticVideoSpec, UniformMotion, gen_synthetic_video
-from sharpv.tensorio import MAGIC, read_video, write_video
+from sharpv.tensorio import MAGIC, read_video, read_video_header, write_video
 
 
 def sample_video(seed=0, n=3, f=4, d=5):
@@ -43,6 +43,25 @@ class TestRoundTrip:
         payload = np.frombuffer(blob, dtype="<f4", offset=20)
         assert payload.shape == (12,)
         assert np.array_equal(payload.astype(np.float64), v.data.reshape(-1))
+
+
+class TestHeader:
+    def test_reads_dims_without_the_payload(self, tmp_path):
+        # the header of a file whose payload is missing still reads
+        path = tmp_path / "v.svt"
+        path.write_bytes(MAGIC + struct.pack("<3I", 2, 3, 4))
+        assert read_video_header(path) == (2, 3, 4)
+
+    @pytest.mark.parametrize("blob, error", [
+        (b"WRONGMAG" + bytes(12), BadMagicError),
+        (MAGIC + b"\x01", TruncatedFileError),
+        (MAGIC + struct.pack("<3I", 0, 4, 4), DimensionError),
+    ], ids=["bad-magic", "short-header", "zero-dimension"])
+    def test_has_read_videos_header_checks(self, tmp_path, blob, error):
+        path = tmp_path / "bad.svt"
+        path.write_bytes(blob)
+        with pytest.raises(error):
+            read_video_header(path)
 
 
 class TestErrors:

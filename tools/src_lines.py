@@ -7,6 +7,8 @@ code; a line with code and a trailing comment is.
 
     python tools/src_lines.py
 
+prints the package total first, then each module's counts.
+
 Standard library only.
 """
 
@@ -47,12 +49,12 @@ def count(path: Path) -> tuple[int, int]:
 
 def main() -> None:
     root = Path(__file__).resolve().parent.parent / "src" / "sharpv"
-    files = sorted(root.glob("*.py"))
-    total = code = 0
-    for path in files:
-        t, c = count(path)
-        total, code = total + t, code + c
-    print(f"{root.name}: {len(files)} files, {total} lines, {code} code lines")
+    counts = {path.name: count(path) for path in sorted(root.glob("*.py"))}
+    total = sum(t for t, _ in counts.values())
+    code = sum(c for _, c in counts.values())
+    print(f"{root.name}: {len(counts)} files, {total} lines, {code} code lines")
+    for name, (t, c) in counts.items():
+        print(f"  {name}: {t} lines, {c} code lines")
 
 
 if __name__ == "__main__":

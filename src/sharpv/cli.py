@@ -25,7 +25,7 @@ The harness only parses arguments, calls the library and emits; `run`
 builds its pipeline and decoder configs, which check every setting they
 hold, before it makes or reads a video. `run --in` learns d from its
 file's header, so it checks the decoder's settings between that header
-and the payload.
+and the payload, both read through one handle (a pipe reads once).
 Decoder and pipeline defaults are ``DecoderConfig``'s and
 ``PipelineConfig``'s, and the bench ladder's defaults and input checks
 are in ``bench``. The video and prompt defaults (pattern, n, f, seed,
@@ -64,7 +64,7 @@ from .synth import (
     gen_synthetic_video,
     parse_pattern,
 )
-from .tensorio import read_video, read_video_header, write_video
+from .tensorio import read_video_header, read_video_payload, write_video
 
 
 @dataclass(frozen=True)
@@ -163,6 +163,12 @@ def _synthetic_video(cfg: HarnessConfig) -> VideoTokens:
     ))
 
 
+def _decoder_config(cfg: HarnessConfig) -> DecoderConfig:
+    return DecoderConfig(layers=cfg.layers, model_dim=cfg.d, heads=cfg.heads,
+                         mlp_dim=cfg.mlp_dim, vocab=cfg.vocab, seed=cfg.decoder_seed,
+                         max_positions=cfg.max_positions)
+
+
 def cmd_run(args: argparse.Namespace) -> int:
     command = "run" if args.in_path is None else "run --in"
     cfg = resolve_config(args, command)
@@ -170,13 +176,16 @@ def cmd_run(args: argparse.Namespace) -> int:
     # `--in` learns d from its file's header, before the payload is read
     pipe_cfg = PipelineConfig(spatial_weight=cfg.w, mode=cfg.mode, manual_threshold=cfg.k,
                               degradation_threshold=cfg.m, decode_steps=cfg.decode_steps)
-    if args.in_path is not None:
-        n, f, d = read_video_header(args.in_path)
-        cfg = replace(cfg, n=n, f=f, d=d)
-    decoder_cfg = DecoderConfig(layers=cfg.layers, model_dim=cfg.d, heads=cfg.heads,
-                                mlp_dim=cfg.mlp_dim, vocab=cfg.vocab, seed=cfg.decoder_seed,
-                                max_positions=cfg.max_positions)
-    video = _synthetic_video(cfg) if args.in_path is None else read_video(args.in_path)
+    if args.in_path is None:
+        decoder_cfg = _decoder_config(cfg)
+        video = _synthetic_video(cfg)
+    else:
+        # one handle for header and payload: a pipe cannot be read twice
+        with open(args.in_path, "rb") as fh:
+            n, f, d = read_video_header(fh, args.in_path)
+            cfg = replace(cfg, n=n, f=f, d=d)
+            decoder_cfg = _decoder_config(cfg)
+            video = read_video_payload(fh, n, f, d, args.in_path)
     system, instruction = gen_prompt_embeddings(
         cfg.seed, cfg.system_len, cfg.instruction_len, cfg.d
     )

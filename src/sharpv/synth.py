@@ -79,8 +79,8 @@ class Burst:
     frames: tuple[int, ...]  # 0-based frame indices redrawn from scratch
 
     def __post_init__(self):
-        if not self.frames or any(i < 0 for i in self.frames):
-            raise ConfigError(f"burst needs non-negative frame indices, got {self.frames}")
+        if not self.frames or any(type(i) is not int or i < 0 for i in self.frames):
+            raise ConfigError(f"burst needs integer frame indices >= 0, got {self.frames}")
 
     def generate(self, n: int, f: int, d: int, rng: np.random.Generator) -> np.ndarray:
         bad = [i for i in self.frames if i >= n]
@@ -101,11 +101,13 @@ class Mixed:
     segments: tuple[tuple[object, int], ...]  # (inner pattern, frame count)
 
     def __post_init__(self):
-        for inner, count in self.segments:
-            if not isinstance(inner, _SEGMENT_PATTERNS):
-                raise ConfigError(f"mixed segment {inner!r} must be static, uniform or burst")
-            if count < 1:
-                raise ConfigError(f"segment count must be >= 1, got {count}")
+        for segment in self.segments:
+            if type(segment) is not tuple or len(segment) != 2 or type(segment[1]) is not int:
+                raise ConfigError(f"mixed segment {segment!r} must be a (pattern, int) pair")
+            if not isinstance(segment[0], _SEGMENT_PATTERNS):
+                raise ConfigError(f"mixed segment {segment[0]!r} must be static, uniform or burst")
+            if segment[1] < 1:
+                raise ConfigError(f"segment count must be >= 1, got {segment[1]}")
 
     def generate(self, n: int, f: int, d: int, rng: np.random.Generator) -> np.ndarray:
         total = sum(count for _, count in self.segments)
@@ -140,9 +142,8 @@ def parse_pattern(text: str) -> object:
         except ValueError as exc:
             raise ConfigError(f"bad uniform rate in {text!r}") from exc
     if text.startswith("burst:"):
-        body = text.split(":", 1)[1]
         try:
-            frames = tuple(int(part) for part in body.split(",") if part != "")
+            frames = tuple(int(part) for part in text.split(":", 1)[1].split(",") if part)
         except ValueError as exc:
             raise ConfigError(f"bad burst frame list in {text!r}") from exc
         return Burst(frames=frames)
@@ -184,10 +185,8 @@ def gen_synthetic_video(spec: SyntheticVideoSpec) -> VideoTokens:
         raise ConfigError(f"counts must be >= 1, got n={spec.n} f={spec.f} d={spec.d}")
     if spec.seed < 0:
         raise ConfigError(f"seed must be >= 0, got {spec.seed}")
-    if spec.n * spec.f * spec.d > MAX_ELEMENTS:
-        raise ConfigError(
-            f"n*f*d = {spec.n * spec.f * spec.d} exceeds the element budget of {MAX_ELEMENTS}"
-        )
+    if (size := spec.n * spec.f * spec.d) > MAX_ELEMENTS:
+        raise ConfigError(f"n*f*d = {size} exceeds the element budget of {MAX_ELEMENTS}")
     if not isinstance(spec.pattern, (*_SEGMENT_PATTERNS, Mixed)):
         raise ConfigError(f"unknown pattern object {spec.pattern!r}")
     rng = np.random.default_rng([spec.seed, _STREAM_VIDEO])

@@ -18,6 +18,7 @@ import os
 import stat
 import struct
 from pathlib import Path
+from typing import BinaryIO
 
 import numpy as np
 
@@ -62,28 +63,15 @@ def read_video(path: str | Path) -> VideoTokens:
     whatever the path holds (a pipe or a device included).
     """
     with open(path, "rb") as fh:
-        n, f, d = _read_header(fh, path)
-        expected = _HEADER.size + n * f * d * 4
-        st = os.fstat(fh.fileno())
-        if stat.S_ISREG(st.st_mode):
-            _check_length(st.st_size, expected, path)
-        payload = fh.read(expected - _HEADER.size + 1)
-    _check_length(_HEADER.size + len(payload), expected, path)
-    values = np.frombuffer(payload, dtype="<f4")
-    if not np.isfinite(values).all():
-        raise TensorFormatError(f"payload contains NaN or Inf: {path}")
-    data = values.astype(np.float64).reshape(n * f, d)
-    return VideoTokens(n, f, d, data)
+        n, f, d = read_video_header(fh, path)
+        return read_video_payload(fh, n, f, d, path)
 
 
-def read_video_header(path: str | Path) -> tuple[int, int, int]:
-    """(n, f, d) from a video tensor file's header, with ``read_video``'s
-    header checks; no payload byte is read."""
-    with open(path, "rb") as fh:
-        return _read_header(fh, path)
-
-
-def _read_header(fh, path: str | Path) -> tuple[int, int, int]:
+def read_video_header(fh: BinaryIO, path: str | Path) -> tuple[int, int, int]:
+    """(n, f, d) from the header at the start of the open file ``fh``,
+    checked as ``read_video`` checks it; no payload byte is read, so a
+    caller can reject the shape before ``read_video_payload``. ``path``
+    only names the file in errors."""
     header = fh.read(_HEADER.size)
     if len(header) < _HEADER.size:
         if header[: len(MAGIC)] != MAGIC[: len(header)]:
@@ -94,6 +82,22 @@ def _read_header(fh, path: str | Path) -> tuple[int, int, int]:
         raise BadMagicError(f"bad magic {magic!r} in {path}")
     _check_dims(n, f, d)
     return n, f, d
+
+
+def read_video_payload(fh: BinaryIO, n: int, f: int, d: int, path: str | Path) -> VideoTokens:
+    """The video whose header ``read_video_header`` has just read from the
+    same ``fh``, with ``read_video``'s length and value checks."""
+    expected = _HEADER.size + n * f * d * 4
+    st = os.fstat(fh.fileno())
+    if stat.S_ISREG(st.st_mode):
+        _check_length(st.st_size, expected, path)
+    payload = fh.read(expected - _HEADER.size + 1)
+    _check_length(_HEADER.size + len(payload), expected, path)
+    values = np.frombuffer(payload, dtype="<f4")
+    if not np.isfinite(values).all():
+        raise TensorFormatError(f"payload contains NaN or Inf: {path}")
+    data = values.astype(np.float64).reshape(n * f, d)
+    return VideoTokens(n, f, d, data)
 
 
 def _check_length(size: int, expected: int, path: str | Path) -> None:

@@ -1,6 +1,7 @@
 import argparse
 import dataclasses
 import json
+import os
 import re
 import subprocess
 import sys
@@ -457,7 +458,7 @@ class TestSettingsTable:
 
         video = tmp_path / "v.svt"
         assert run_cli(capsys, "gen", "--out", str(video), "--n", "2", "--f", "4")[0] == 0
-        monkeypatch.setattr(cli, "read_video", read)
+        monkeypatch.setattr(cli, "read_video_header", read)
         code, out, err = run_cli(capsys, "run", "--in", str(video), "--seed", "-1")
         assert code == 2
         assert out == ""
@@ -477,11 +478,25 @@ class TestSettingsTable:
         n, f, d = dims
         assert run_cli(capsys, "gen", "--out", str(video), "--n", n, "--f", f, "--d", d)[0] == 0
         cfg.write_text(json.dumps(config))
-        monkeypatch.setattr(cli, "read_video", read)
+        monkeypatch.setattr(cli, "read_video_payload", read)
         code, out, err = run_cli(capsys, "run", "--in", str(video), "--config", str(cfg))
         assert code == 2
         assert out == ""
         assert message in err
+
+    def test_in_reads_a_pipe(self, capsys, tmp_path):
+        # a pipe yields its bytes once, so header and payload need one handle
+        video = tmp_path / "v.svt"
+        assert run_cli(capsys, "gen", "--out", str(video), "--n", "2", "--f", "4",
+                       "--d", "16")[0] == 0
+        read_end, write_end = os.pipe()
+        try:
+            os.write(write_end, video.read_bytes())  # 532 bytes fit the pipe's buffer
+            os.close(write_end)
+            report = run_report(capsys, "--in", f"/dev/fd/{read_end}", "--decode-steps", "2")
+        finally:
+            os.close(read_end)
+        assert (report["config"]["n"], report["config"]["d"]) == (2, 16)
 
     @pytest.mark.parametrize("flags, config", [
         (("--d", "20000"), None), ((), {"vocab": 100_000_000}),

@@ -7,7 +7,7 @@ import pytest
 from sharpv.errors import BadMagicError, DimensionError, TensorFormatError, TruncatedFileError
 from sharpv.pruner import VideoTokens
 from sharpv.synth import SyntheticVideoSpec, UniformMotion, gen_synthetic_video
-from sharpv.tensorio import MAGIC, read_video, read_video_header, write_video
+from sharpv.tensorio import MAGIC, read_video, read_video_header, read_video_payload, write_video
 
 
 def sample_video(seed=0, n=3, f=4, d=5):
@@ -50,7 +50,9 @@ class TestHeader:
         # the header of a file whose payload is missing still reads
         path = tmp_path / "v.svt"
         path.write_bytes(MAGIC + struct.pack("<3I", 2, 3, 4))
-        assert read_video_header(path) == (2, 3, 4)
+        with open(path, "rb") as fh:
+            assert read_video_header(fh, path) == (2, 3, 4)
+            assert fh.read() == b""
 
     @pytest.mark.parametrize("blob, error", [
         (b"WRONGMAG" + bytes(12), BadMagicError),
@@ -60,8 +62,16 @@ class TestHeader:
     def test_has_read_videos_header_checks(self, tmp_path, blob, error):
         path = tmp_path / "bad.svt"
         path.write_bytes(blob)
-        with pytest.raises(error):
-            read_video_header(path)
+        with open(path, "rb") as fh, pytest.raises(error):
+            read_video_header(fh, path)
+
+    def test_payload_continues_from_the_header(self, tmp_path):
+        v = sample_video()
+        path = tmp_path / "v.svt"
+        write_video(path, v)
+        with open(path, "rb") as fh:
+            back = read_video_payload(fh, *read_video_header(fh, path), path)
+        assert np.array_equal(back.data, v.data)
 
 
 class TestErrors:

@@ -295,19 +295,22 @@ class Decoder:
         d, mlp, vocab = config.model_dim, config.mlp_dim, config.vocab
         rng = np.random.default_rng(config.seed)
         scale = 1.0 / np.sqrt(d)
-        self.embedding = rng.standard_normal((vocab, d)) * scale
+
+        def draw(*shape):  # scaled in place, with no temporary
+            w = rng.standard_normal(shape)
+            w *= scale
+            return w
+
+        self.embedding = draw(vocab, d)
         self.layers: list[LayerWeights] = []
         for _ in range(config.layers):
             w_qkv = np.empty((d, 3 * d))
             for i in range(3):  # wq, wk, wv, in draw order
-                w_qkv[:, i * d:(i + 1) * d] = rng.standard_normal((d, d)) * scale
+                w_qkv[:, i * d:(i + 1) * d] = draw(d, d)
             self.layers.append(LayerWeights(
-                w_qkv=w_qkv,
-                wo=rng.standard_normal((d, d)) * scale,
-                w_mlp_in=rng.standard_normal((d, mlp)) * scale,
-                w_mlp_out=rng.standard_normal((mlp, d)) * scale,
+                w_qkv=w_qkv, wo=draw(d, d), w_mlp_in=draw(d, mlp), w_mlp_out=draw(mlp, d),
             ))
-        self.w_out = rng.standard_normal((d, vocab)) * scale
+        self.w_out = draw(d, vocab)
         self.slopes = _head_slopes(config.heads)
         self.inv_sqrt_hd = 1.0 / np.sqrt(config.head_dim)
         # per layer, no prefill score (q @ keys) exceeds this

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, ShapeMismatchError
-from .vecmath import check_value_range, unit_rows
+from .vecmath import check_value_range, row_chunks, unit_rows
 
 MODE_ADAPTIVE = "adaptive"
 MODE_MANUAL = "manual"
@@ -117,15 +117,19 @@ def importance_maps(video: VideoTokens) -> tuple[np.ndarray, np.ndarray]:
     the same position in the previous frame; frame 0 is scored against the
     virtual all-mean reference frame, so its row coincides with its
     spatial row. One unit-direction buffer serves both maps: the temporal
-    differences are taken first, then the buffer is centred in place on
-    the unit frame means, so the stage holds at most two input-sized
-    arrays.
+    differences are taken first, a bounded chunk of rows at a time
+    (``row_chunks``), then the buffer is centred in place on the unit
+    frame means, so the stage holds one input-sized array and a chunk.
     """
     frames = video.frames()
     units = unit_rows(frames)  # (n, f, d)
     temporal = np.empty((video.n, video.f), dtype=np.float64)
-    if video.n > 1:
-        temporal[1:] = np.clip(_norms(units[1:] - units[:-1]), 0.0, 2.0)
+    # row r of the flat views, from frame 1 on, against row r - f
+    flat, moved = units.reshape(-1, video.d), temporal.reshape(-1)
+    f = video.f
+    for rows in row_chunks(len(flat) - f, video.d):
+        later = slice(rows.start + f, rows.stop + f)
+        np.clip(_norms(flat[later] - flat[rows]), 0.0, 2.0, out=moved[later])
     units -= unit_rows(frames.mean(axis=1))[:, None, :]
     spatial = np.clip(_norms(units), 0.0, 2.0)
     temporal[0] = spatial[0]

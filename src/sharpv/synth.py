@@ -22,12 +22,17 @@ Patterns:
 
 Each pattern type checks its own fields when it is built, so a pattern
 made in code gets the same checks as one ``parse_pattern`` reads from
-text, and draws its own ``(n, f, d)`` frames in ``generate``;
-``parse_pattern`` holds only the text grammar.
+text, and draws its own frames into an ``(n, f, d)`` array in
+``generate``; ``parse_pattern`` holds only the text grammar.
 
 Generation is pure: the same (spec, seed) always yields bit-identical
 tensors. Values are quantized to float32 so the on-disk tensor format
 round-trips exactly.
+
+Generation holds the video and one bounded chunk (``row_chunks``), never
+a second video: every pattern writes into the one output array, a
+``mixed`` segment into its own frames of it, and the float32 rounding
+is done in place, chunk by chunk.
 """
 
 from __future__ import annotations
@@ -39,6 +44,7 @@ import numpy as np
 from .errors import ConfigError
 from .pruner import VideoTokens
 from .tensorio import MAX_ELEMENTS
+from .vecmath import row_chunks
 
 # RNG stream ids, kept distinct so video/prompt draws never collide.
 _STREAM_VIDEO = 0
@@ -48,10 +54,10 @@ _STREAM_INSTRUCTION = 2
 
 @dataclass(frozen=True)
 class Static:
-    def generate(self, n: int, f: int, d: int, rng: np.random.Generator) -> np.ndarray:
+    def generate(self, out: np.ndarray, rng: np.random.Generator) -> None:
         # one direction everywhere: zero spatial spread and zero motion, so
         # every frame (including the first) prunes down to the 1-token floor
-        return np.broadcast_to(rng.standard_normal(d), (n, f, d)).copy()
+        out[...] = rng.standard_normal(out.shape[2])
 
 
 @dataclass(frozen=True)
@@ -62,7 +68,8 @@ class UniformMotion:
         if not np.isfinite(self.rate) or self.rate < 0:
             raise ConfigError(f"rate must be a finite value >= 0, got {self.rate}")
 
-    def generate(self, n: int, f: int, d: int, rng: np.random.Generator) -> np.ndarray:
+    def generate(self, out: np.ndarray, rng: np.random.Generator) -> None:
+        n, f, d = out.shape
         if d < 2:
             raise ConfigError("uniform motion needs d >= 2 for a rotation plane")
         planes = np.empty((f, 2, d))
@@ -70,8 +77,11 @@ class UniformMotion:
             planes[j, 0], planes[j, 1] = _orthonormal_pair(rng, d)
         phase = rng.uniform(0.0, 2.0 * np.pi, size=f)
         angles = phase[None, :] + np.arange(n)[:, None] * self.rate  # (n, f)
-        return (np.cos(angles)[..., None] * planes[None, :, 0, :]
-                + np.sin(angles)[..., None] * planes[None, :, 1, :])
+        # cos * plane 0 + sin * plane 1, the sine term added a few frames
+        # at a time
+        np.multiply(np.cos(angles)[..., None], planes[None, :, 0, :], out=out)
+        for frames in row_chunks(n, f * d):
+            out[frames] += np.sin(angles[frames])[..., None] * planes[None, :, 1, :]
 
 
 @dataclass(frozen=True)
@@ -82,15 +92,14 @@ class Burst:
         if not self.frames or any(type(i) is not int or i < 0 for i in self.frames):
             raise ConfigError(f"burst needs integer frame indices >= 0, got {self.frames}")
 
-    def generate(self, n: int, f: int, d: int, rng: np.random.Generator) -> np.ndarray:
+    def generate(self, out: np.ndarray, rng: np.random.Generator) -> None:
+        n, f, d = out.shape
         bad = [i for i in self.frames if i >= n]
         if bad:
             raise ConfigError(f"burst frames {bad} out of range for n={n}")
         fresh = set(self.frames) | {0}
-        out = np.empty((n, f, d))
         for t in range(n):
             out[t] = rng.standard_normal((f, d)) if t in fresh else out[t - 1]
-        return out
 
 
 _SEGMENT_PATTERNS = (Static, UniformMotion, Burst)
@@ -109,16 +118,17 @@ class Mixed:
             if segment[1] < 1:
                 raise ConfigError(f"segment count must be >= 1, got {segment[1]}")
 
-    def generate(self, n: int, f: int, d: int, rng: np.random.Generator) -> np.ndarray:
+    def generate(self, out: np.ndarray, rng: np.random.Generator) -> None:
         total = sum(count for _, count in self.segments)
-        if total != n:
-            raise ConfigError(f"mixed segments cover {total} frames but n={n}")
+        if total != len(out):
+            raise ConfigError(f"mixed segments cover {total} frames but n={len(out)}")
         # One draw from the parent per segment keeps segment streams tied
         # to the top-level seed without sharing state between segments.
-        return np.concatenate([
-            inner.generate(count, f, d, np.random.default_rng([int(rng.integers(0, 2**63 - 1)), i]))
-            for i, (inner, count) in enumerate(self.segments)
-        ], axis=0)
+        start = 0
+        for i, (inner, count) in enumerate(self.segments):
+            seed = int(rng.integers(0, 2**63 - 1))
+            inner.generate(out[start:start + count], np.random.default_rng([seed, i]))
+            start += count
 
 
 @dataclass(frozen=True)
@@ -190,9 +200,12 @@ def gen_synthetic_video(spec: SyntheticVideoSpec) -> VideoTokens:
     if not isinstance(spec.pattern, (*_SEGMENT_PATTERNS, Mixed)):
         raise ConfigError(f"unknown pattern object {spec.pattern!r}")
     rng = np.random.default_rng([spec.seed, _STREAM_VIDEO])
-    frames = spec.pattern.generate(spec.n, spec.f, spec.d, rng)
-    data = frames.reshape(spec.n * spec.f, spec.d).astype(np.float32)
-    return VideoTokens(spec.n, spec.f, spec.d, data.astype(np.float64))
+    frames = np.empty((spec.n, spec.f, spec.d))
+    spec.pattern.generate(frames, rng)
+    values = frames.reshape(-1)
+    for chunk in row_chunks(values.size, 1):
+        values[chunk] = values[chunk].astype(np.float32)
+    return VideoTokens(spec.n, spec.f, spec.d, frames.reshape(spec.n * spec.f, spec.d))
 
 
 def gen_prompt_embeddings(seed: int, system_len: int, instruction_len: int, d: int):

@@ -10,6 +10,10 @@ Values are stored as float32; values between float32 grid points are
 rounded on write, and values beyond the float32 range are rejected
 before the file is opened. Each failure mode gets its own exception so
 callers can distinguish a wrong file from a damaged one.
+
+Both directions convert the payload one bounded chunk at a time
+(``row_chunks``), so a write holds no copy of the video and a read holds
+the float64 video plus one float32 chunk.
 """
 
 from __future__ import annotations
@@ -24,6 +28,7 @@ import numpy as np
 
 from .errors import BadMagicError, DimensionError, TensorFormatError, TruncatedFileError
 from .pruner import VideoTokens
+from .vecmath import in_float32_range, row_chunks
 
 MAGIC = b"SHRPVID1"
 _HEADER = struct.Struct("<8s3I")
@@ -44,14 +49,14 @@ def _check_dims(n: int, f: int, d: int) -> None:
 def write_video(path: str | Path, video: VideoTokens) -> None:
     """Write a video token tensor; see module docstring for the layout."""
     _check_dims(video.n, video.f, video.d)
-    with np.errstate(over="ignore"):
-        payload = np.ascontiguousarray(video.data, dtype="<f4")
-    if not np.isfinite(payload).all():
+    values = video.data.reshape(-1)
+    if not in_float32_range(values):
         # read_video would reject the file, so do not write it
         raise TensorFormatError(f"values exceed the float32 range, not written: {path}")
     with open(path, "wb") as fh:
         fh.write(_HEADER.pack(MAGIC, video.n, video.f, video.d))
-        fh.write(payload.tobytes())
+        for chunk in row_chunks(values.size, 1):
+            fh.write(values[chunk].astype("<f4"))
 
 
 def read_video(path: str | Path) -> VideoTokens:
@@ -86,18 +91,41 @@ def read_video_header(fh: BinaryIO, path: str | Path) -> tuple[int, int, int]:
 
 def read_video_payload(fh: BinaryIO, n: int, f: int, d: int, path: str | Path) -> VideoTokens:
     """The video whose header ``read_video_header`` has just read from the
-    same ``fh``, with ``read_video``'s length and value checks."""
-    expected = _HEADER.size + n * f * d * 4
+    same ``fh``, with ``read_video``'s length and value checks.
+
+    The float32 payload is read with ``fh.readinto`` into one reused
+    chunk and widened into the float64 video chunk by chunk; a short read
+    is retried until the file ends.
+    """
+    size = n * f * d
+    expected = _HEADER.size + size * 4
     st = os.fstat(fh.fileno())
     if stat.S_ISREG(st.st_mode):
         _check_length(st.st_size, expected, path)
-    payload = fh.read(expected - _HEADER.size + 1)
-    _check_length(_HEADER.size + len(payload), expected, path)
-    values = np.frombuffer(payload, dtype="<f4")
-    if not np.isfinite(values).all():
+    data = np.empty(size)
+    chunk = np.empty(next(row_chunks(size, 1)).stop, dtype="<f4")  # the longest chunk
+    view = memoryview(chunk).cast("B")
+    for values in row_chunks(size, 1):
+        part = chunk[:values.stop - values.start]
+        got = _read_into(fh, view[:part.nbytes])
+        if got < part.nbytes:  # the file ends inside the payload
+            _check_length(_HEADER.size + 4 * values.start + got, expected, path)
+        data[values] = part
+    _check_length(expected + len(fh.read(1)), expected, path)
+    if not in_float32_range(data):
         raise TensorFormatError(f"payload contains NaN or Inf: {path}")
-    data = values.astype(np.float64).reshape(n * f, d)
-    return VideoTokens(n, f, d, data)
+    return VideoTokens(n, f, d, data.reshape(n * f, d))
+
+
+def _read_into(fh: BinaryIO, view: memoryview) -> int:
+    # bytes read into view: all of it, unless the file ends first
+    got = 0
+    while got < len(view):
+        step = fh.readinto(view[got:])
+        if not step:
+            break
+        got += step
+    return got
 
 
 def _check_length(size: int, expected: int, path: str | Path) -> None:

@@ -18,9 +18,16 @@ A huge row is never mistaken for the zero vector: ``VideoTokens`` and
 ``PromptEmbeddings`` hold values within float32's range
 (``check_value_range``), so no sum of squares of a run's rows can
 overflow here.
+
+``row_chunks`` is the one chunk rule of the passes over a whole video
+(generation, the tensor file's write and read, stage 1's temporal
+differences): each holds the video plus a chunk of about
+``CHUNK_VALUES`` values.
 """
 
 from __future__ import annotations
+
+from collections.abc import Iterator
 
 import numpy as np
 
@@ -30,13 +37,30 @@ NORM_EPS = 1e-12
 # tensor file's. A row's sum of squares then stays below d * 1.2e77, so
 # the product of two of them in ``row_cosines`` cannot overflow float64.
 FLOAT32_MAX = float(np.finfo(np.float32).max)
+# Values per chunk of those passes: 512 KiB as float64, so such a pass
+# holds the video plus one chunk rather than a second video.
+CHUNK_VALUES = 1 << 16
+
+
+def row_chunks(rows: int, width: int) -> Iterator[slice]:
+    """Consecutive slices covering rows [0, rows), each of about
+    ``CHUNK_VALUES`` values at ``width`` values per row, and never less
+    than one row."""
+    step = max(1, CHUNK_VALUES // width)
+    for r0 in range(0, rows, step):
+        yield slice(r0, min(r0 + step, rows))
+
+
+def in_float32_range(arr: np.ndarray) -> bool:
+    """Whether every value of ``arr`` is a number of magnitude at most
+    ``FLOAT32_MAX``; NaN fails both bounds. Its min and max take no
+    full-size temporary."""
+    return arr.size == 0 or bool(-FLOAT32_MAX <= arr.min() <= arr.max() <= FLOAT32_MAX)
 
 
 def check_value_range(arr: np.ndarray, what: str) -> None:
-    """ValueError unless every value of ``arr`` is a number of magnitude
-    at most ``FLOAT32_MAX``; NaN fails both bounds. Its min and max take
-    no full-size temporary."""
-    if arr.size and not -FLOAT32_MAX <= arr.min() <= arr.max() <= FLOAT32_MAX:
+    """ValueError unless ``in_float32_range(arr)``."""
+    if not in_float32_range(arr):
         raise ValueError(
             f"{what} must be finite, with magnitudes at most float32's {FLOAT32_MAX:.4g}"
         )

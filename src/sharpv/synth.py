@@ -32,11 +32,13 @@ round-trips exactly.
 Generation holds the video and one bounded chunk (``row_chunks``), never
 a second video: every pattern writes into the one output array, a
 ``mixed`` segment into its own frames of it, and the float32 rounding
-is done in place, chunk by chunk.
+is done in place, chunk by chunk. The output lives in its own anonymous
+mapping, outside the malloc heap.
 """
 
 from __future__ import annotations
 
+import mmap
 from dataclasses import dataclass
 
 import numpy as np
@@ -200,7 +202,11 @@ def gen_synthetic_video(spec: SyntheticVideoSpec) -> VideoTokens:
     if not isinstance(spec.pattern, (*_SEGMENT_PATTERNS, Mixed)):
         raise ConfigError(f"unknown pattern object {spec.pattern!r}")
     rng = np.random.default_rng([spec.seed, _STREAM_VIDEO])
-    frames = np.empty((spec.n, spec.f, spec.d))
+    # The video gets its own anonymous mapping rather than a malloc heap
+    # block: a generated video is often written out and dropped (`sharpv
+    # gen`), and dropping a mapped array returns its pages at once instead
+    # of leaving a video-sized hole in the heap below later allocations.
+    frames = np.frombuffer(mmap.mmap(-1, 8 * size), dtype=np.float64).reshape(spec.n, spec.f, spec.d)
     spec.pattern.generate(frames, rng)
     values = frames.reshape(-1)
     for chunk in row_chunks(values.size, 1):

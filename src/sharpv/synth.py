@@ -202,11 +202,14 @@ def gen_synthetic_video(spec: SyntheticVideoSpec) -> VideoTokens:
     if not isinstance(spec.pattern, (*_SEGMENT_PATTERNS, Mixed)):
         raise ConfigError(f"unknown pattern object {spec.pattern!r}")
     rng = np.random.default_rng([spec.seed, _STREAM_VIDEO])
-    # The video gets its own anonymous mapping rather than a malloc heap
-    # block: a generated video is often written out and dropped (`sharpv
-    # gen`), and dropping a mapped array returns its pages at once instead
-    # of leaving a video-sized hole in the heap below later allocations.
-    frames = np.frombuffer(mmap.mmap(-1, 8 * size), dtype=np.float64).reshape(spec.n, spec.f, spec.d)
+    # The video gets its own private anonymous mapping rather than a malloc
+    # heap block: a generated video is often written out and dropped
+    # (`sharpv gen`), and dropping a mapped array returns its pages at once
+    # instead of leaving a video-sized hole in the heap below later
+    # allocations. ACCESS_COPY makes the mapping private (copy-on-write
+    # across a fork), as heap memory is.
+    buffer = mmap.mmap(-1, 8 * size, access=mmap.ACCESS_COPY)
+    frames = np.frombuffer(buffer, dtype=np.float64).reshape(spec.n, spec.f, spec.d)
     spec.pattern.generate(frames, rng)
     values = frames.reshape(-1)
     for chunk in row_chunks(values.size, 1):

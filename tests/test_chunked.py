@@ -4,6 +4,8 @@ Generation, the tensor file's write and read, and stage-1 scoring each
 work through ``vecmath.row_chunks``. Their traced peaks are bounded as a
 share of the video's bytes plus a fixed allowance for the chunk and the
 per-token arrays, and their outputs do not depend on the chunk size.
+Generation's own output lives in an anonymous mapping, which
+``tracemalloc`` does not see, so only its temporaries are traced.
 """
 
 import os
@@ -83,7 +85,8 @@ def video_file(tmp_path_factory):
 class TestPeaks:
     @pytest.mark.parametrize("text", PATTERNS)
     def test_generation_holds_one_video(self, text):
-        assert within(traced_peak(generate, text), 1.1)
+        # the video itself, in its mapping, plus at most 0.1x of temporaries
+        assert within(traced_peak(generate, text), 0.1)
 
     def test_write_holds_no_copy(self, video_file, tmp_path):
         video = read_video(video_file)

@@ -13,9 +13,10 @@ For each end-to-end metric of CHANGE's ``BENCHMARK.json``, with its
 better direction, the summary gives both sides' medians and quartiles,
 the pairs the change won, the change's relative distance from the
 parent's median (positive is worse) and whether that median difference
-exceeds the parent's quartile spread. It also gives, per side, the
-median of every set-up step in ``details.setup_repeats_s`` over all
-runs' repeats, since ``setup_s`` adds a single cold import to them.
+exceeds the parent's quartile spread, and whether the change is within
+the metric's bound. It also gives, per side, the median of every set-up
+step in ``details.setup_repeats_s`` over all runs' repeats, since
+``setup_s`` adds a single cold import to them.
 ``--out`` writes the summary and every run's metrics as JSON.
 
 Exits 1 if any run fails or reports ``correct: false``. Standard
@@ -54,7 +55,8 @@ def summarize(pairs: list[dict], end_to_end: list[dict]) -> dict:
         stats = {side: quartiles(by_side[side]) for side in SIDES}
         parent, change = stats["parent"]["median"], stats["change"]["median"]
         gain = [(a - b) if lower else (b - a) for a, b in zip(*by_side.values())]
-        worse_by = (change - parent) / parent if parent else 0.0
+        relative = (change - parent) / parent if parent else 0.0
+        worse_by = relative if lower else -relative
         metrics[name] = {
             "unit": spec.get("unit"),
             "better": spec["better"],
@@ -62,7 +64,8 @@ def summarize(pairs: list[dict], end_to_end: list[dict]) -> dict:
             **stats,
             "pairs_won": sum(g > 0 for g in gain),
             "ties": sum(g == 0 for g in gain),
-            "worse_by": worse_by if lower else -worse_by,
+            "worse_by": worse_by,
+            "within_bound": spec.get("bound") is None or worse_by <= spec["bound"],
             "beats_parent_iqr": ((parent - change) if lower else (change - parent))
             > stats["parent"]["q3"] - stats["parent"]["q1"],
             "pair_ratios": [b / a if a else None for a, b in zip(*by_side.values())],

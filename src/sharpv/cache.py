@@ -10,12 +10,13 @@ a row in place: a layer that owns its buffers holds its arrays as
 instead of copying the cache. The key buffer is head-major, (heads,
 head_dim, capacity), so the keys attention reads, (heads, head_dim, n),
 are a prefix of contiguous rows; ``keys`` is a (n, heads, head_dim)
-view of it. Value, position and tag buffers are entry-major. A layer
-either owns all four buffers or none: prefill hands each layer its key
-and value buffers with spare rows, and ``KVCacheLayer.owning`` adds the
-id and tag buffers at the same capacity. A layer that owns none copies
-itself into new buffers on its first append, and buffers double when
-full.
+view of it. Value, position and tag buffers are entry-major. This module
+alone allocates them. A layer either owns all four buffers or none:
+``KVCacheLayer.projected`` builds a prefill layer in four buffers of a
+given capacity, projecting its keys and values straight into them, so
+spare rows take decode appends without a copy. A layer that owns none
+copies itself into new buffers on its first append, and buffers double
+when full.
 """
 
 from __future__ import annotations
@@ -88,17 +89,22 @@ class KVCacheLayer:
     _buffers: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     @classmethod
-    def owning(cls, key_buf: np.ndarray, value_buf: np.ndarray,
-               segment_tags: np.ndarray) -> KVCacheLayer:
-        """A layer of len(segment_tags) entries, with position ids
-        0..n-1, whose keys and values are the leading rows of key_buf,
-        (H, head_dim, capacity), and value_buf, (capacity, H, head_dim),
-        which the caller hands over. The layer allocates its id and tag
-        buffers at the same capacity, so it owns all four and appends
-        write into their spare rows.
+    def projected(cls, states: np.ndarray, wk: np.ndarray, wv: np.ndarray, heads: int,
+                  segment_tags: np.ndarray, capacity: int) -> KVCacheLayer:
+        """A layer of the n rows of the (n, d) ``states``, with keys
+        ``states @ wk`` and values ``states @ wv`` split into ``heads``
+        heads, position ids 0..n-1 and the given tags. It owns all four
+        buffers, of ``capacity`` >= n entries, so appends write into
+        their spare rows. Both projections write straight into the
+        buffers: the keys as one (H, head_dim, d) @ (d, n) matmul, with
+        no (n, d) temporary and no transposed copy.
         """
-        n = len(segment_tags)
-        capacity = value_buf.shape[0]
+        n, d = states.shape
+        key_buf = np.empty((heads, d // heads, capacity), dtype=states.dtype)
+        # head h's (head_dim, d) operand is the transpose of its wk columns
+        np.matmul(wk.reshape(d, heads, -1).transpose(1, 2, 0), states.T, out=key_buf[:, :, :n])
+        value_buf = np.empty((capacity, heads, d // heads), dtype=states.dtype)
+        np.matmul(states, wv, out=value_buf[:n].reshape(n, d))
         position_buf = np.arange(capacity, dtype=np.int64)
         tag_buf = _grown_rows(segment_tags, capacity)
         layer = cls(key_buf[:, :, :n].transpose(2, 0, 1), value_buf[:n],

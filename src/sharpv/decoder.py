@@ -15,13 +15,11 @@ from cache contents alone: every cached entry is attendable, and an
 evicted entry is simply gone.
 
 Prefill never builds a (T, T) score array, and nothing per layer is
-larger than its (T, d) input, keys and values. Each layer first projects
-keys and values for every row, straight into the buffers the cache layer
-will own: keys head-major, into an (H, head_dim, capacity) buffer, so
-each query block's scores are a plain matmul against a prefix slice of
-contiguous rows, and values into a (capacity, H, head_dim) buffer. Then
-query block [i0, i1) of ``_QUERY_BLOCK`` rows attends to its causal key
-prefix [0, i1) and runs the rest of the layer (output projection,
+larger than its (T, d) input, keys and values. Each layer first builds
+its cache layer, keys and values for every row (``KVCacheLayer.projected``;
+the buffer layout is described in cache.py). Then query block [i0, i1)
+of ``_QUERY_BLOCK`` rows attends to its causal key prefix [0, i1), a
+slice of the layer's ``keys`` and ``values`` views, and runs the rest of the layer (output projection,
 residual, MLP) on its own rows while they are still in cache, writing
 them back into the layer input. The last layer is different: only its
 final row's output is ever read (for the logits), so once its keys and
@@ -56,15 +54,12 @@ O(H * T) memory in all. In prefill and decode alike, finite bias entries stop at
 ``_BIAS_FLOOR``, which binds only beyond distance 700/slope (2800 for
 head 0 at the default 4 heads).
 
-The buffers hold ``min(spare_rows, T)`` rows beyond the prompt, and
-each layer prefill builds owns them, together with id and tag buffers
-of the same capacity (``KVCacheLayer.owning``): a layer the stage-2
-hook keeps as it is takes that many decode entries without copying
-anything, while a layer the hook replaces (evicted or re-encoded) owns
-nothing, and its first append copies it. The pipeline asks for one
-spare row per decode step after the first; the cap at T is the doubling
-an append would make anyway, since every layer's key buffer is written
-across its full width.
+Each layer prefill builds has room for ``min(spare_rows, T)`` entries
+beyond the prompt: a layer the stage-2 hook keeps as it is takes that
+many decode entries without copying anything, while a layer the hook
+replaces (evicted or re-encoded) owns no buffers, and its first append
+copies it. The pipeline asks for one spare row per decode step after
+the first; the cap at T is the doubling an append would make anyway.
 
 A decode step is one row per layer, so its cost is per-call overhead
 rather than arithmetic, and it is kept to few calls. Each layer's query,
@@ -74,9 +69,9 @@ of it, which prefill multiplies separately, so that its cached keys and
 values pin no (T, 3d) product. The step builds one floored ramp of
 non-negative distances, (H, max len + 1), and each layer's (H, 1, len)
 bias is a basic slice of its tail: a layer's position ids are
-0..len-1, which ``decode_step`` checks before it appends anything. A
-layer's keys are a prefix of its head-major buffer, as in prefill, and a
-one-row ``_layer_norm`` works on numpy scalars instead of keepdims
+0..len-1, which ``decode_step`` checks before it appends anything.
+Attention reads a layer's ``keys`` and ``values`` views, as in prefill,
+and a one-row ``_layer_norm`` works on numpy scalars instead of keepdims
 arrays.
 
 Weight draw order (all values standard normal scaled by 1/sqrt(model_dim)):
@@ -344,7 +339,7 @@ class Decoder:
         head_dim). The one attention routine: prefill calls it per query
         block, decode_step once per layer. Keys come transposed, as the
         right operand of ``q @ keys``, so both can pass a prefix slice of
-        a head-major key buffer.
+        a layer's ``keys`` view, transposed, whose rows are contiguous.
 
         The softmax is left unnormalised until after the values are mixed
         in: the row sums divide the (H, T, head_dim) output instead of the
@@ -381,9 +376,8 @@ class Decoder:
         """Causal forward pass over the whole prompt.
 
         Builds each layer's keys and values, with the prompt's segment
-        tags, as a layer that owns all four of its buffers
-        (``KVCacheLayer.owning``, which numbers the entries 0..T-1). The
-        buffers hold ``min(spare_rows, T)`` rows beyond the prompt, so a
+        tags and position ids 0..T-1, as ``KVCacheLayer.projected`` with
+        room for ``min(spare_rows, T)`` entries beyond the prompt, so a
         caller that will append ``spare_rows`` decode entries can do so
         without copying the layer. With a ``layer_hook``, every
         layer is passed through it together with that layer's input
@@ -427,8 +421,6 @@ class Decoder:
         plan = [(i0, i1, _causal_bias(ramp, i0, i1)) for i0, i1 in blocks]
         last = [(total - 1, total, _causal_bias(ramp, total - 1, total))]
         capacity = total + min(spare_rows, total)  # see the module docstring
-        d, heads = self.config.model_dim, self.config.heads
-        hd = d // heads
 
         cache = []
         x = embedded.copy()
@@ -441,33 +433,25 @@ class Decoder:
             # projection rather than on every block of scores; at head_dim
             # 16 the scale is 0.25, a power of two, so the scores keep
             # their bits.
-            q = xn[q0:] @ lw.wq
+            q = self._split_heads(xn[q0:] @ lw.wq)
             q *= self.inv_sqrt_hd
-            q = self._split_heads(q)
-            # Keys go head-major, so every query block multiplies by a
-            # prefix whose (head, channel) rows are contiguous runs; values
-            # are projected straight into their buffer. The order (key
-            # buffer, key temporary freed, then value buffer) keeps the
-            # peak: the value buffer never coexists with the temporary.
-            key_buf = np.empty((heads, hd, capacity))
-            key_buf[:, :, :total] = (xn @ lw.wk).reshape(total, heads, hd).transpose(1, 2, 0)
-            value_buf = np.empty((capacity, heads, hd))
-            np.matmul(xn, lw.wv, out=value_buf[:total].reshape(total, d))
+            layer = KVCacheLayer.projected(xn, lw.wk, lw.wv, self.config.heads, tags, capacity)
             del xn
-            layer = KVCacheLayer.owning(key_buf, value_buf, tags)
+            # taken before the hook, which may replace the layer
+            keys = layer.keys.transpose(1, 2, 0)  # (H, head_dim, T)
+            values = layer.values.transpose(1, 0, 2)  # (H, T, head_dim)
             if layer_hook is not None:
                 layer = layer_hook(x, layer)
             cache.append(layer)
             # A row's residual and MLP read only that row, and every key
             # and value exists already, so each block finishes its layer
             # in its own rows of x.
-            values = value_buf.transpose(1, 0, 2)  # (H, capacity, head_dim)
             for i0, i1, bias in rows:
-                attended = self._attend(q[:, i0 - q0:i1 - q0], key_buf[:, :, :i1],
+                attended = self._attend(q[:, i0 - q0:i1 - q0], keys[:, :, :i1],
                                         values[:, :i1], bias, shift)
                 self._residual_mlp(lw, x[i0:i1], attended)
             # not alive while the next layer projects its own
-            del q, key_buf, value_buf, values
+            del q, keys, values
         logits = _layer_norm(x[-1:])[0] @ self.w_out
         return PrefillResult(cache=cache, logits=logits, final_hidden=x[-1].copy())
 

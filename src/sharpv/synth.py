@@ -78,6 +78,10 @@ class UniformMotion:
         for j in range(f):
             planes[j, 0], planes[j, 1] = _orthonormal_pair(rng, d)
         phase = rng.uniform(0.0, 2.0 * np.pi, size=f)
+        # the largest angle, in Python floats, which overflow without a
+        # warning; cos and sin of inf are NaN
+        if not np.isfinite(float(phase.max()) + (n - 1) * self.rate):
+            raise ConfigError(f"rate {self.rate} over {n} frames overflows the rotation angle")
         angles = phase[None, :] + np.arange(n)[:, None] * self.rate  # (n, f)
         # cos * plane 0 + sin * plane 1, the sine term added a few frames
         # at a time

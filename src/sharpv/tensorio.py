@@ -112,9 +112,10 @@ def read_video_payload(fh: BinaryIO, n: int, f: int, d: int, path: str | Path) -
             _check_length(_HEADER.size + 4 * values.start + got, expected, path)
         data[values] = part
     _check_length(expected + len(fh.read(1)), expected, path)
-    if not in_float32_range(data):
-        raise TensorFormatError(f"payload contains NaN or Inf: {path}")
-    return VideoTokens(n, f, d, data.reshape(n * f, d))
+    try:  # VideoTokens scans the values once, for NaN and Inf
+        return VideoTokens(n, f, d, data.reshape(n * f, d))
+    except ValueError as exc:
+        raise TensorFormatError(f"payload contains NaN or Inf: {path}") from exc
 
 
 def _read_into(fh: BinaryIO, view: memoryview) -> int:

@@ -6,13 +6,14 @@ with this hook.
 """
 
 
-def traced_prefill(decoder, embedded, spans):
+def traced_prefill(decoder, embedded, spans, **prefill_kwargs):
     """(PrefillResult, trace) of a prefill that stores every layer whole;
-    trace[l] is a copy of layer l's (T, d) input states."""
+    trace[l] is a copy of layer l's (T, d) input states. Other keyword
+    arguments (``spare_rows``) go to ``prefill``."""
     trace = []
 
     def record(states, layer):
         trace.append(states.copy())
         return layer
 
-    return decoder.prefill(embedded, spans, layer_hook=record), trace
+    return decoder.prefill(embedded, spans, layer_hook=record, **prefill_kwargs), trace

@@ -115,6 +115,27 @@ class TestKVCacheLayer:
             assert list(layer.position_ids) == list(range(7))
             assert list(layer.segment_tags) == list(spans.tags()) + [Segment.GENERATED]
 
+    def test_projected_layer_owns_its_projections(self):
+        rng = np.random.default_rng(8)
+        states = rng.standard_normal((7, 8))
+        w = rng.standard_normal((8, 24))
+        wk, wv = w[:, 8:16], w[:, 16:]  # column views, as the decoder passes them
+        tags = spans_for(7, visual=(1, 4)).tags()
+        layer = KVCacheLayer.projected(states, wk, wv, 2, tags, capacity=10)
+        assert np.array_equal(layer.keys, (states @ wk).reshape(7, 2, 4))
+        assert np.array_equal(layer.values, (states @ wv).reshape(7, 2, 4))
+        assert np.array_equal(layer.position_ids, np.arange(7))
+        assert np.array_equal(layer.segment_tags, tags)
+        assert not np.shares_memory(layer.segment_tags, tags)
+        key_buf, value_buf, position_buf, tag_buf = (
+            getattr(layer, f).base for f in ("keys", "values", "position_ids", "segment_tags"))
+        assert key_buf.shape == (2, 4, 10) and value_buf.shape == (10, 2, 4)
+        assert position_buf.shape == tag_buf.shape == (10,)
+        # it owns all four buffers, so an append writes into their spare rows
+        layer.append(np.ones((2, 4)), np.zeros((2, 4)), Segment.GENERATED, position=7)
+        assert layer.keys.base is key_buf and layer.values.base is value_buf
+        assert layer.position_ids.base is position_buf and layer.segment_tags.base is tag_buf
+
     def test_appends_reallocate_logarithmically_often(self):
         n0, steps = 10, 256
         layer = make_layer(n0)

@@ -195,6 +195,19 @@ class TestExitCodes:
         assert not out.exists()
 
     @pytest.mark.parametrize("argv", [
+        ("run", "--pattern", "uniform:1e308"),
+        ("gen", "--pattern", "uniform:1e308"),
+        ("run", "--pattern", "mixed:uniform:1e308@4+static@4"),
+    ])
+    def test_overflowing_rotation_is_config_error(self, capsys, tmp_path, argv):
+        out = tmp_path / "out"
+        code, stdout, err = run_cli(capsys, *argv, "--out", str(out))
+        assert code == 2
+        assert "config error" in err and "overflows the rotation angle" in err
+        assert stdout == ""
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
         ("gen", "--pattern", "static"),
         ("run", "--pattern", "static"),
         ("bench", "--scales", "1,2,4"),

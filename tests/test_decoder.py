@@ -408,14 +408,19 @@ class TestQueryBlockEquivalence:
     """Decoder.prefill (query blocks, causal key prefix, bias views of one
     ramp) against the dense (H, T, T) oracle in reference_decoder.py."""
 
+    LENGTHS = [1, _QUERY_BLOCK - 1, _QUERY_BLOCK, _QUERY_BLOCK + 1, 3 * _QUERY_BLOCK + 5]
+
+    # with spare rows, keys and values are written into a strided prefix
+    # of their buffers
     @pytest.mark.parametrize(
-        "t", [1, _QUERY_BLOCK - 1, _QUERY_BLOCK, _QUERY_BLOCK + 1, 3 * _QUERY_BLOCK + 5]
+        "t, spare_rows", [(t, 0) for t in LENGTHS] + [(t, 5) for t in LENGTHS],
+        ids=[str(t) for t in LENGTHS] + [f"{t}-spare5" for t in LENGTHS],
     )
-    def test_matches_dense_oracle(self, t):
+    def test_matches_dense_oracle(self, t, spare_rows):
         decoder = Decoder(DecoderConfig(layers=3, seed=3))
         embedded = np.random.default_rng(t).standard_normal((t, 64))
         spans = SegmentedSequence(system_len=t // 3, visual_len=t - t // 3, instruction_len=0)
-        res, trace = traced_prefill(decoder, embedded, spans)
+        res, trace = traced_prefill(decoder, embedded, spans, spare_rows=spare_rows)
         want = dense_prefill(decoder, embedded)
 
         # the last layer runs for the final row only

@@ -115,6 +115,14 @@ class TestGeneration:
         assert thr[2] == pytest.approx(0.0, abs=1e-9)
         assert thr[4] == pytest.approx(0.0, abs=1e-9)
 
+    @pytest.mark.parametrize("rate, n", [(1e308, 3), (2.6e307, 8)])
+    def test_uniform_angle_overflow_raises_before_writing(self, rate, n):
+        # phase + t*rate overflows to inf, whose cos and sin are NaN
+        out = np.full((n, 2, 4), 7.0)
+        with pytest.raises(ConfigError, match="overflows the rotation angle"):
+            UniformMotion(rate).generate(out, np.random.default_rng(0))
+        assert (out == 7.0).all()
+
     def test_burst_out_of_range(self):
         with pytest.raises(ConfigError):
             make(Burst(frames=(6,)), n=6)

@@ -4,6 +4,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import sharpv.tensorio
+import sharpv.vecmath
 from sharpv.errors import BadMagicError, DimensionError, TensorFormatError, TruncatedFileError
 from sharpv.pruner import VideoTokens
 from sharpv.synth import SyntheticVideoSpec, UniformMotion, gen_synthetic_video
@@ -144,6 +146,28 @@ class TestErrors:
         path.write_bytes(MAGIC + struct.pack("<3I", 1, 2, 2) + payload.tobytes())
         with pytest.raises(TensorFormatError):
             read_video(path)
+
+    def test_nan_payload_names_the_file(self, tmp_path):
+        path = tmp_path / "bad.svt"
+        payload = np.array([1.0, 0.0, np.nan, 2.0], dtype="<f4")
+        path.write_bytes(MAGIC + struct.pack("<3I", 1, 2, 2) + payload.tobytes())
+        with pytest.raises(TensorFormatError, match=f"payload contains NaN or Inf: {path}"):
+            read_video(path)
+
+    def test_payload_range_is_scanned_once(self, tmp_path, monkeypatch):
+        path = tmp_path / "v.svt"
+        write_video(path, sample_video())
+        scans = []
+        scan = sharpv.vecmath.in_float32_range
+
+        def counted(arr):
+            scans.append(arr.size)
+            return scan(arr)
+
+        monkeypatch.setattr(sharpv.vecmath, "in_float32_range", counted)
+        monkeypatch.setattr(sharpv.tensorio, "in_float32_range", counted)
+        read_video(path)
+        assert scans == [3 * 4 * 5]
 
     def test_value_beyond_float32_range_writes_nothing(self, tmp_path):
         # 1e300 is finite as float64 but casts to inf as float32; the file

@@ -16,10 +16,11 @@ evicted entry is simply gone.
 
 Prefill never builds a (T, T) score array, and nothing per layer is
 larger than its (T, d) input, keys and values. Each layer first builds
-its cache layer, keys and values for every row (``KVCacheLayer.projected``;
-the buffer layout is described in cache.py). Then query block [i0, i1)
-of ``_QUERY_BLOCK`` rows attends to its causal key prefix [0, i1), a
-slice of the layer's ``keys`` and ``values`` views, and runs the rest of the layer (output projection,
+its cache layer, keys and values for every row
+(``KVCacheLayer.projected``; the buffer layout is described in
+cache.py). Then query block [i0, i1) of ``_QUERY_BLOCK`` rows attends
+to its causal key prefix [0, i1), a slice of the layer's ``keys`` and
+``values`` views, and runs the rest of the layer (output projection,
 residual, MLP) on its own rows while they are still in cache, writing
 them back into the layer input. The last layer is different: only its
 final row's output is ever read (for the logits), so once its keys and

@@ -619,7 +619,7 @@ class TestDecodeStep:
 
 
 class TestPrefillHandOff:
-    """Prefill hands each layer its key and value buffers with spare rows."""
+    """Each layer prefill builds owns its four buffers, with spare rows."""
 
     T = 2 * _QUERY_BLOCK + 5
     SPANS = SegmentedSequence(system_len=3, visual_len=2 * _QUERY_BLOCK, instruction_len=2)

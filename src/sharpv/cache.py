@@ -12,11 +12,18 @@ head_dim, capacity), so the keys attention reads, (heads, head_dim, n),
 are a prefix of contiguous rows; ``keys`` is a (n, heads, head_dim)
 view of it. Value, position and tag buffers are entry-major. This module
 alone allocates them. A layer either owns all four buffers or none:
-``KVCacheLayer.projected`` builds a prefill layer in four buffers of a
-given capacity, projecting its keys and values straight into them, so
-spare rows take decode appends without a copy. A layer that owns none
-copies itself into new buffers on its first append, and buffers double
-when full.
+``KVCacheLayer.projected`` builds a prefill layer in four buffers,
+projecting its keys and values straight into them, so spare rows take
+decode appends without a copy. A layer that owns none copies itself
+into new buffers on its first append, and buffers double when full.
+
+A prefill layer of n entries asked for ``spare_rows`` has room for
+``min(spare_rows, n)`` entries beyond them: a layer the stage-2 hook
+keeps as it is takes that many decode entries without copying
+anything, while a layer the hook replaces (evicted or re-encoded) owns
+no buffers, and its first append copies it. The pipeline asks for one
+spare row per decode step after the first; the cap at n is the
+doubling an append would make anyway.
 """
 
 from __future__ import annotations
@@ -73,7 +80,7 @@ class SegmentedSequence:
         return np.repeat(np.arange(3, dtype=np.uint8), lengths)
 
 
-@dataclass
+@dataclass(eq=False)
 class KVCacheLayer:
     """One decoder layer's cache: (seq, heads, head_dim) keys/values plus
     per-entry position ids and segment tags. Every entry is attendable;
@@ -86,20 +93,22 @@ class KVCacheLayer:
     segment_tags: np.ndarray  # (seq,) uint8
     # Buffers behind the four arrays, keys head-major: (H, head_dim, cap)
     # keys, then (cap, H, head_dim) values, (cap,) ids and (cap,) tags.
-    _buffers: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    _buffers: tuple | None = field(default=None, init=False, repr=False)
 
     @classmethod
     def projected(cls, states: np.ndarray, wk: np.ndarray, wv: np.ndarray, heads: int,
-                  segment_tags: np.ndarray, capacity: int) -> KVCacheLayer:
+                  segment_tags: np.ndarray, spare_rows: int) -> KVCacheLayer:
         """A layer of the n rows of the (n, d) ``states``, with keys
         ``states @ wk`` and values ``states @ wv`` split into ``heads``
         heads, position ids 0..n-1 and the given tags. It owns all four
-        buffers, of ``capacity`` >= n entries, so appends write into
-        their spare rows. Both projections write straight into the
-        buffers: the keys as one (H, head_dim, d) @ (d, n) matmul, with
-        no (n, d) temporary and no transposed copy.
+        buffers, of n + min(``spare_rows``, n) entries (see the module
+        docstring), so appends write into their spare rows. Both
+        projections write straight into the buffers: the keys as one
+        (H, head_dim, d) @ (d, n) matmul, with no (n, d) temporary and no
+        transposed copy.
         """
         n, d = states.shape
+        capacity = n + min(spare_rows, n)
         key_buf = np.empty((heads, d // heads, capacity), dtype=states.dtype)
         # head h's (head_dim, d) operand is the transpose of its wk columns
         np.matmul(wk.reshape(d, heads, -1).transpose(1, 2, 0), states.T, out=key_buf[:, :, :n])

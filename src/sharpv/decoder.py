@@ -55,13 +55,6 @@ O(H * T) memory in all. In prefill and decode alike, finite bias entries stop at
 ``_BIAS_FLOOR``, which binds only beyond distance 700/slope (2800 for
 head 0 at the default 4 heads).
 
-Each layer prefill builds has room for ``min(spare_rows, T)`` entries
-beyond the prompt: a layer the stage-2 hook keeps as it is takes that
-many decode entries without copying anything, while a layer the hook
-replaces (evicted or re-encoded) owns no buffers, and its first append
-copies it. The pipeline asks for one spare row per decode step after
-the first; the cap at T is the doubling an append would make anyway.
-
 A decode step is one row per layer, so its cost is per-call overhead
 rather than arithmetic, and it is kept to few calls. Each layer's query,
 key and value projections are one (d, 3d) block, ``w_qkv``, which a
@@ -163,7 +156,7 @@ class DecoderConfig:
         return self.model_dim // self.heads
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LayerWeights:
     w_qkv: np.ndarray  # (d, 3d): wq | wk | wv
     wo: np.ndarray
@@ -180,7 +173,7 @@ class LayerWeights:
     wv = property(lambda self: self._columns(2))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PrefillResult:
     """A prefilled prompt. The cache is a plain list with one
     ``KVCacheLayer`` per decoder layer, in order, ready for ``decode_step``."""
@@ -378,9 +371,9 @@ class Decoder:
 
         Builds each layer's keys and values, with the prompt's segment
         tags and position ids 0..T-1, as ``KVCacheLayer.projected`` with
-        room for ``min(spare_rows, T)`` entries beyond the prompt, so a
-        caller that will append ``spare_rows`` decode entries can do so
-        without copying the layer. With a ``layer_hook``, every
+        ``spare_rows`` spare rows (capped at T; see cache.py), so a caller
+        that will append ``spare_rows`` decode entries can do so without
+        copying the layer. With a ``layer_hook``, every
         layer is passed through it together with that layer's input
         states as soon as its keys and values exist, before its attention
         runs, and the cache stores what the hook returns; the pipeline evicts there (stage 2),
@@ -421,7 +414,6 @@ class Decoder:
         blocks = [(i0, min(i0 + _QUERY_BLOCK, total)) for i0 in range(0, total, _QUERY_BLOCK)]
         plan = [(i0, i1, _causal_bias(ramp, i0, i1)) for i0, i1 in blocks]
         last = [(total - 1, total, _causal_bias(ramp, total - 1, total))]
-        capacity = total + min(spare_rows, total)  # see the module docstring
 
         cache = []
         x = embedded.copy()
@@ -436,7 +428,7 @@ class Decoder:
             # their bits.
             q = self._split_heads(xn[q0:] @ lw.wq)
             q *= self.inv_sqrt_hd
-            layer = KVCacheLayer.projected(xn, lw.wk, lw.wv, self.config.heads, tags, capacity)
+            layer = KVCacheLayer.projected(xn, lw.wk, lw.wv, self.config.heads, tags, spare_rows)
             del xn
             # taken before the hook, which may replace the layer
             keys = layer.keys.transpose(1, 2, 0)  # (H, head_dim, T)

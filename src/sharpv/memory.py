@@ -11,8 +11,10 @@ Everything here reads hidden states and cache contents only. No function
 accepts or produces attention weights, so the stage composes with fused
 attention kernels that never materialize score matrices.
 
-Every function works on one decoder layer. A layer whose score
-(``degradation_profile``) is below the threshold (``discard_decision``)
+Every function works on one decoder layer. The score
+(``degradation_profile``) reads only the layer's visual rows and the
+original visual rows; the caller owns the prompt layout and cuts both
+out. A layer whose score is below the threshold (``discard_decision``)
 loses its visual span (``apply_discard``; system, instruction, and
 generated entries stay), and its position ids are compacted to 0..len-1
 (``reencode_positions``) so the distance-based attention bias sees a
@@ -26,7 +28,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .cache import KVCacheLayer, Segment, SegmentedSequence
+from .cache import KVCacheLayer, Segment
 from .errors import ShapeMismatchError
 from .vecmath import row_cosines
 
@@ -35,26 +37,20 @@ from .vecmath import row_cosines
 _VISUAL = int(Segment.VISUAL)
 
 
-def degradation_profile(
-    states: np.ndarray, original: np.ndarray, spans: SegmentedSequence
-) -> float:
+def degradation_profile(states: np.ndarray, original: np.ndarray) -> float:
     """Mean cosine, in [-1, 1], between one layer's visual hidden states
-    and the original visual embeddings at the same rows. A row that is a
-    zero vector on either side scores 0 (``vecmath.row_cosines``)."""
+    and the original visual embeddings, row by row: both are the visual
+    span's (V, d) rows, cut out by the caller. A row that is a zero
+    vector on either side scores 0 (``vecmath.row_cosines``)."""
     original = np.asarray(original, dtype=np.float64)
     states = np.asarray(states, dtype=np.float64)
-    if spans.visual_len < 1:
+    if original.shape[0] < 1:
         raise ValueError("degradation profile needs a non-empty visual span")
-    if original.shape[0] != spans.total_len:
-        raise ShapeMismatchError(
-            f"original has {original.shape[0]} rows but spans cover {spans.total_len}"
-        )
     if states.shape != original.shape:
         raise ShapeMismatchError(
             f"states have shape {states.shape}, expected {original.shape}"
         )
-    vs = slice(*spans.visual_span)
-    return float(row_cosines(states[vs], original[vs]).sum() / spans.visual_len)
+    return float(row_cosines(states, original).sum() / original.shape[0])
 
 
 def discard_decision(sim: float, threshold: float) -> bool:

@@ -33,7 +33,7 @@ from .report import RunReport, validate_report
 from .vecmath import check_value_range
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PromptEmbeddings:
     """Pre-embedded text surrounding the visual span; every value must be
     finite and within float32's range (ValueError otherwise)."""
@@ -141,7 +141,8 @@ def prefill_with_eviction(
 
     Returns the prefill result, whose cache is the evicted one, every
     layer's degradation score, and the discarded layers in order. Each
-    layer's input states give its score (``degradation_profile``) and its
+    layer's input states give its score (``degradation_profile`` of its
+    visual rows against the prompt's, sliced once per prefill) and its
     ``discard_decision``; a discarded layer goes through ``apply_discard``
     and ``reencode_positions`` before the cache stores it. Layer 0's input
     is the prompt, so it scores the share of visual rows that are not zero
@@ -150,9 +151,11 @@ def prefill_with_eviction(
     buffers with ``spare_rows`` rows for decode (see ``Decoder.prefill``).
     """
     sims, discarded = [], []
+    visual = slice(*spans.visual_span)
+    original = embedded[visual]
 
     def evict(states: np.ndarray, layer: KVCacheLayer) -> KVCacheLayer:
-        sim = degradation_profile(states, embedded, spans)
+        sim = degradation_profile(states[visual], original)
         if discard_decision(sim, threshold):
             # a kept layer's positions are already 0..T-1
             discarded.append(len(sims))

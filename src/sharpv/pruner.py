@@ -42,7 +42,7 @@ MODE_ADAPTIVE = "adaptive"
 MODE_MANUAL = "manual"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class VideoTokens:
     """An (n frames x f tokens x d dims) stack of visual token embeddings.
 
@@ -75,7 +75,7 @@ class VideoTokens:
         return self.data.reshape(self.n, self.f, self.d)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PrunedVideo:
     """The surviving tokens in original frame-major order, and why."""
 
@@ -143,21 +143,16 @@ def _norms(x: np.ndarray) -> np.ndarray:
     return np.sqrt(np.square(x, out=x).sum(axis=-1))
 
 
-def frame_thresholds(spatial: np.ndarray, temporal: np.ndarray) -> np.ndarray:
-    """Per-frame retention ratios in [0, 1].
-
-    Frame t >= 1 uses ||temporal row||_2 / (2*sqrt(f)); frame 0 uses its
-    spatial row the same way. A static frame scores 0, a frame whose every
-    token is antipodal to its predecessor scores 1.
+def frame_thresholds(temporal: np.ndarray) -> np.ndarray:
+    """Per-frame retention ratios in [0, 1]: each row of the (n, f)
+    temporal map scores ||row||_2 / (2*sqrt(f)). A static frame scores 0,
+    a frame whose every token is antipodal to its predecessor scores 1.
+    Frame 0's row is its spatial row (``importance_maps``), so it scores
+    against the all-mean reference frame.
     """
-    spatial = np.asarray(spatial, dtype=np.float64)
     temporal = np.asarray(temporal, dtype=np.float64)
-    if spatial.shape != temporal.shape:
-        raise ShapeMismatchError(f"shape mismatch: {spatial.shape} vs {temporal.shape}")
-    f = spatial.shape[1]
     norms = np.linalg.norm(temporal, axis=1)
-    norms[0] = np.linalg.norm(spatial[0])
-    return np.clip(norms / (2.0 * np.sqrt(f)), 0.0, 1.0)
+    return np.clip(norms / (2.0 * np.sqrt(temporal.shape[1])), 0.0, 1.0)
 
 
 def prune_video(video: VideoTokens, config: PrunerConfig) -> PrunedVideo:
@@ -171,7 +166,7 @@ def prune_video(video: VideoTokens, config: PrunerConfig) -> PrunedVideo:
     """
     spatial, temporal = importance_maps(video)
     combined = temporal + config.spatial_weight * spatial
-    thresholds = frame_thresholds(spatial, temporal)
+    thresholds = frame_thresholds(temporal)
     f = video.f
     keep = np.empty((video.n, f), dtype=bool)
     if config.mode == MODE_ADAPTIVE:

@@ -76,20 +76,20 @@ def test_c02_threshold_bounds():
     # static: every frame equals its predecessor -> thresholds exactly 0
     frame = rng.standard_normal((6, 8))
     static = VideoTokens(4, 6, 8, np.tile(frame, (4, 1)))
-    thr_static = frame_thresholds(*importance_maps(static))
+    thr_static = frame_thresholds(importance_maps(static)[1])
     static_ok = (thr_static[1:] == 0.0).all()
 
     # antipodal unit tokens: every frame flips sign -> thresholds exactly 1
     base = np.eye(6, 8)
     anti = VideoTokens(4, 6, 8, np.vstack([base, -base, base, -base]))
-    thr_anti = frame_thresholds(*importance_maps(anti))
+    thr_anti = frame_thresholds(importance_maps(anti)[1])
     anti_ok = np.allclose(thr_anti[1:], 1.0, atol=1e-9)
 
     bounds_ok = True
     for _ in range(200):
         n, f, d = int(rng.integers(1, 9)), int(rng.integers(1, 17)), int(rng.integers(1, 33))
         v = VideoTokens(n, f, d, rng.standard_normal((n * f, d)))
-        thr = frame_thresholds(*importance_maps(v))
+        thr = frame_thresholds(importance_maps(v)[1])
         bounds_ok &= bool(((thr >= 0.0) & (thr <= 1.0)).all())
     elapsed = time.perf_counter() - start
     _verdict(
@@ -317,7 +317,7 @@ def test_c11_synthetic_closed_form():
         video = gen_synthetic_video(
             SyntheticVideoSpec(n=6, f=9, d=16, seed=111, pattern=parse_pattern(f"uniform:{rate}"))
         )
-        thr = frame_thresholds(*importance_maps(video))
+        thr = frame_thresholds(importance_maps(video)[1])
         expected = math.sin(rate / 2.0)
         worst = max(worst, float(np.max(np.abs(thr[1:] - expected))))
     _verdict(

@@ -14,8 +14,9 @@ END_TO_END = [
 ]
 
 
-def run(ttft, tokens, init_s):
+def run(ttft, tokens, init_s, import_s=0.1):
     return {"metrics": {"ttft_ms_mean": ttft, "visual_tokens_per_s": tokens},
+            "setup_import_s": import_s,
             "setup_repeats_s": [{"init_decoder": init_s, "total": 2 * init_s}] * 2}
 
 
@@ -23,8 +24,8 @@ def test_summary_counts_wins_in_each_metrics_direction():
     # parent ttft 10, 12, 14, 16, 18; the change is 1 ms faster in four
     # pairs and tied in one, and moves fewer tokens in all five
     pairs = [{"seed": i + 1,
-              "parent": run(10 + 2 * i, 100.0, 0.01),
-              "change": run(10 + 2 * i - (i > 0), 90.0, 0.02)}
+              "parent": run(10 + 2 * i, 100.0, 0.01, import_s=0.1 + 0.01 * i),
+              "change": run(10 + 2 * i - (i > 0), 90.0, 0.02, import_s=0.2 - 0.01 * i)}
              for i in range(5)]
     summary = bench_pairs.summarize(pairs, END_TO_END)
     assert summary["pairs"] == 5
@@ -43,6 +44,9 @@ def test_summary_counts_wins_in_each_metrics_direction():
     assert ttft["within_bound"] and tokens["within_bound"]  # bounds 0.25
     assert not tokens["beats_parent_iqr"]
 
+    # the cold import is reported beside the steps, not folded into them
+    assert summary["setup_import_medians_s"] == {
+        "parent": pytest.approx(0.12), "change": pytest.approx(0.18)}
     assert summary["setup_step_medians_s"] == {
         "parent": {"init_decoder": 0.01, "total": 0.02},
         "change": {"init_decoder": 0.02, "total": 0.04},

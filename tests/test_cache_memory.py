@@ -121,7 +121,7 @@ class TestKVCacheLayer:
         w = rng.standard_normal((8, 24))
         wk, wv = w[:, 8:16], w[:, 16:]  # column views, as the decoder passes them
         tags = spans_for(7, visual=(1, 4)).tags()
-        layer = KVCacheLayer.projected(states, wk, wv, 2, tags, capacity=10)
+        layer = KVCacheLayer.projected(states, wk, wv, 2, tags, spare_rows=3)
         assert np.array_equal(layer.keys, (states @ wk).reshape(7, 2, 4))
         assert np.array_equal(layer.values, (states @ wv).reshape(7, 2, 4))
         assert np.array_equal(layer.position_ids, np.arange(7))
@@ -195,9 +195,9 @@ class TestKVCacheLayer:
 class TestDegradationProfile:
     def test_identity_trace_is_one(self):
         rng = np.random.default_rng(1)
-        original = rng.standard_normal((10, 8))
+        original = rng.standard_normal((4, 8))
         trace = [original.copy() for _ in range(4)]
-        sims = [degradation_profile(states, original, spans_for(10)) for states in trace]
+        sims = [degradation_profile(states, original) for states in trace]
         assert sims == pytest.approx([1.0] * 4, abs=1e-12)
 
     def test_orthogonal_rows_are_zero(self):
@@ -205,17 +205,17 @@ class TestDegradationProfile:
         original[:, 0] = 1.0
         rotated = np.zeros((4, 4))
         rotated[:, 1] = 1.0
-        spans = SegmentedSequence(system_len=1, visual_len=2, instruction_len=1)
-        assert degradation_profile(rotated, original, spans) == pytest.approx(0.0, abs=1e-12)
+        assert degradation_profile(rotated, original) == pytest.approx(0.0, abs=1e-12)
 
     def test_only_visual_span_counts(self):
-        rng = np.random.default_rng(2)
-        original = rng.standard_normal((10, 8))
-        trace_layer = original.copy()
-        trace_layer[0] = -original[0]  # system row, must not matter
-        trace_layer[9] = -original[9]  # instruction row, must not matter
-        sim = degradation_profile(trace_layer, original, spans_for(10))
-        assert sim == pytest.approx(1.0, abs=1e-12)
+        # prefill_with_eviction scores the visual rows alone. Layer 0's
+        # input is the prompt, where a zero row would score 0, so zero
+        # system and instruction rows must leave layer 0 at 1.
+        decoder, embedded, spans = stage2_prompt()
+        lo, hi = spans.visual_span
+        embedded[:lo] = embedded[hi:] = 0.0
+        _, sims, _ = prefill_with_eviction(decoder, embedded, spans, -1.0)
+        assert sims[0] == 1.0
 
     def test_matches_cosine_loop_on_decoder_trace(self):
         config = DecoderConfig(layers=8, model_dim=64, heads=4, mlp_dim=128, vocab=32, seed=42)
@@ -232,14 +232,12 @@ class TestDegradationProfile:
                 sims.append(
                     float(np.dot(a, b)) / (math.sqrt(np.dot(a, a)) * math.sqrt(np.dot(b, b)))
                 )
-            sim = degradation_profile(trace[l], embedded, spans)
+            sim = degradation_profile(trace[l][lo:hi], embedded[lo:hi])
             assert sim == pytest.approx(sum(sims) / len(sims), abs=1e-6)
 
     def test_empty_visual_span_rejected(self):
-        original = np.ones((4, 4))
-        spans = SegmentedSequence(system_len=2, visual_len=0, instruction_len=2)
         with pytest.raises(ValueError):
-            degradation_profile(original, original, spans)
+            degradation_profile(np.ones((0, 4)), np.ones((0, 4)))
 
 
 def stage2_prompt():

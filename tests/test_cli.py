@@ -152,6 +152,23 @@ class TestExitCodes:
         code, _, _ = run_cli(capsys, "run", "--seed", "-4")
         assert code == 2
 
+    @pytest.mark.parametrize("argv, config, message", [
+        (["run", "--pattern", "uniform:-1"], None, "rate must be a finite value >= 0"),
+        (["run"], {"system_len": 0}, "prompt segment lengths must be >= 1"),
+        (["run"], [], "must hold a JSON object"),
+        (["bench", "--scales", "1,x"], None, "--scales must be comma-separated integers"),
+    ], ids=["negative-rate", "system-len", "config-list", "scales"])
+    def test_bad_setting_is_config_error(self, capsys, tmp_path, monkeypatch, argv, config,
+                                         message):
+        forbid_bench_work(monkeypatch)
+        if config is not None:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps(config))
+            argv = [*argv, "--config", str(cfg)]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        assert "config error" in err and message in err
+
     def test_gen_without_out_is_config_error(self, capsys):
         code, _, _ = run_cli(capsys, "gen")
         assert code == 2
@@ -403,6 +420,12 @@ class TestBench:
         forbid_bench_work(monkeypatch)
         with pytest.raises(ConfigError, match=match):
             cli.bench_mod.run_bench(*args, **kwargs)
+
+    def test_scoring_needs_a_repeat_and_the_ladder_two_lengths(self):
+        with pytest.raises(ValueError, match="repeats must be >= 1"):
+            cli.bench_mod.scoring_cost_scaling([(2, 4, 16)], repeats=0)
+        with pytest.raises(ConfigError, match="need >= 2 positive lengths"):
+            cli.bench_mod.cache_bytes_table([8])
 
     def test_cache_ladder_over_max_positions_rejected(self, monkeypatch):
         def built(config):

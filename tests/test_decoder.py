@@ -562,6 +562,20 @@ class TestDecodeStep:
             assert layer.segment_tags[-1] == Segment.GENERATED
             assert layer.position_ids[-1] == 5
 
+    @pytest.mark.parametrize("embedding, layers, match", [
+        (np.zeros(7), 2, "embedding must have shape"),
+        (np.zeros((1, 8)), 2, "embedding must have shape"),
+        (np.zeros(8), 1, "cache has 1 layers, decoder has 2"),
+    ], ids=["width", "2-d", "layer-count"])
+    def test_rejects_a_wrong_embedding_or_layer_count(self, embedding, layers, match):
+        decoder = Decoder(small_config())
+        embedded = np.random.default_rng(3).standard_normal((5, 8))
+        spans = SegmentedSequence(system_len=1, visual_len=3, instruction_len=1)
+        cache = decoder.prefill(embedded, spans).cache[:layers]
+        with pytest.raises(ShapeMismatchError, match=match):
+            decoder.decode_step(cache, embedding)
+        assert [len(layer) for layer in cache] == [5] * layers
+
     def test_deterministic(self):
         def run():
             decoder = Decoder(small_config())

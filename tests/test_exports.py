@@ -1,5 +1,11 @@
+import numpy as np
+
 import sharpv
 import sharpv.pipeline
+from sharpv.cache import KVCacheLayer
+from sharpv.decoder import LayerWeights, PrefillResult
+from sharpv.pipeline import PromptEmbeddings
+from sharpv.pruner import PrunedVideo, VideoTokens
 
 
 def test_all_entries_resolve_without_duplicates():
@@ -21,3 +27,22 @@ def test_traced_pipeline_names_are_callables():
              "apply_discard", "reencode_positions")
     for name in names:
         assert callable(getattr(sharpv.pipeline, name, None)), name
+
+
+def test_array_holders_compare_and_hash_by_identity():
+    # A generated __eq__ would compare the arrays and raise ValueError,
+    # and a generated __hash__ would hash them and raise TypeError.
+    z = np.zeros((2, 3))
+    makers = [
+        lambda: VideoTokens(1, 2, 3, z),
+        lambda: PrunedVideo(z, np.arange(2), 1.0, np.ones(1), np.full(1, 2)),
+        lambda: KVCacheLayer(z[:, :, None], z[:, :, None], np.arange(2), np.zeros(2, np.uint8)),
+        lambda: PromptEmbeddings(z, z),
+        lambda: PrefillResult([], np.zeros(4), np.zeros(3)),
+        lambda: LayerWeights(np.zeros((3, 9)), np.zeros((3, 3)), z.T, z),
+    ]
+    for make in makers:
+        a, b = make(), make()
+        assert a == a and a != b
+        assert hash(a) == hash(a)
+        assert len({a, b}) == 2

@@ -16,7 +16,7 @@ from sharpv.pipeline import (
     run_pipeline,
 )
 from sharpv.pruner import PrunerConfig, VideoTokens, prune_video
-from sharpv.report import TIMING_FIELDS, RunReport, validate_report
+from sharpv.report import SCHEMA_VERSION, TIMING_FIELDS, RunReport, validate_report
 from sharpv.synth import SyntheticVideoSpec, gen_prompt_embeddings, gen_synthetic_video, parse_pattern
 from sharpv.errors import (
     ConfigError, InvariantViolation, PositionOverflowError, ShapeMismatchError,
@@ -51,6 +51,10 @@ class TestPipelineConfig:
         with pytest.raises(ConfigError):
             PipelineConfig(**fields)
 
+    def test_baseline_rejects_zero_decode_steps(self):
+        with pytest.raises(ConfigError, match="decode_steps must be >= 1, got 0"):
+            baseline_generate(toy_decoder(), *make_inputs(), 0)
+
 
 class TestPromptEmbeddings:
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, 1e39, -1e39])
@@ -63,6 +67,15 @@ class TestPromptEmbeddings:
             PromptEmbeddings(**arrays)
         arrays[segment][0, 1] = np.copysign(float(np.finfo(np.float32).max), value)
         PromptEmbeddings(**arrays)
+
+    @pytest.mark.parametrize("system, instruction, match", [
+        (np.zeros(4), np.zeros((2, 4)), "system embeddings must be 2-d"),
+        (np.zeros((2, 4)), np.zeros(4), "instruction embeddings must be 2-d"),
+        (np.zeros((2, 4)), np.zeros((2, 3)), "disagree on dimension: 4 vs 3"),
+    ], ids=["1-d-system", "1-d-instruction", "widths"])
+    def test_rejects_a_1d_block_or_mismatched_widths(self, system, instruction, match):
+        with pytest.raises(ShapeMismatchError, match=match):
+            PromptEmbeddings(system, instruction)
 
 
 class TestPositionBudget:
@@ -282,7 +295,8 @@ class TestStreamedEviction:
         streamed, sims, discarded = prefill_with_eviction(decoder, embedded, spans, m)
 
         full, trace = traced_prefill(decoder, embedded, spans)
-        want_sims = [degradation_profile(states, embedded, spans) for states in trace]
+        vs = slice(*spans.visual_span)
+        want_sims = [degradation_profile(states[vs], embedded[vs]) for states in trace]
         want_discarded = [l for l, sim in enumerate(want_sims) if sim < m]
         want = [reencode_positions(apply_discard(layer)) if l in want_discarded else layer
                 for l, layer in enumerate(full.cache)]
@@ -304,8 +318,9 @@ class TestStreamedEviction:
         spans = SegmentedSequence(system_len=4, visual_len=0, instruction_len=8)
         embedded = np.vstack([embedded[:4], embedded[-8:]])
         _, trace = traced_prefill(decoder, embedded, spans)
+        vs = slice(*spans.visual_span)
         with pytest.raises(ValueError) as two_pass:
-            degradation_profile(trace[0], embedded, spans)
+            degradation_profile(trace[0][vs], embedded[vs])
         with pytest.raises(ValueError) as streamed:
             prefill_with_eviction(decoder, embedded, spans, 0.2)
         assert str(streamed.value) == str(two_pass.value)
@@ -401,6 +416,29 @@ class TestReportContract:
         bad = dataclasses.replace(report, per_layer_sim=[*report.per_layer_sim[:-1], sim])
         with pytest.raises(InvariantViolation, match="layer similarity"):
             validate_report(bad)
+
+    VALID = RunReport(
+        vr=0.5, mr=0.5, token_budget=0.25, per_frame_thresholds=[0.5, 0.25],
+        per_frame_keep_counts=[2, 1], per_layer_sim=[1.0, 0.1], discarded_layers=[1],
+        generated_tokens=[3], ttft_seconds=0.01, tpot_seconds=0.0, cache_bytes_before=100,
+        cache_bytes_after=50, cache_layers_before=[], cache_layers_after=[],
+    )
+
+    @pytest.mark.parametrize("change, match", [
+        ({"vr": 1.5}, "vr must be in"),
+        ({"mr": 0.0}, "mr must be in"),
+        ({"per_frame_thresholds": [0.5, 1.5]}, "frame threshold 1.5"),
+        ({"per_frame_keep_counts": [2]}, "disagree on frame count"),
+        ({"per_frame_keep_counts": [2, 0]}, "at least one token"),
+        ({"discarded_layers": [2]}, "discarded layer index"),
+        ({"cache_bytes_after": 101}, "cache grew"),
+        ({"ttft_seconds": -1.0}, "negative wall time"),
+        ({"schema_version": SCHEMA_VERSION + 1}, "schema_version"),
+    ])
+    def test_validate_rejects_each_broken_invariant(self, change, match):
+        validate_report(self.VALID)
+        with pytest.raises(InvariantViolation, match=match):
+            validate_report(dataclasses.replace(self.VALID, **change))
 
     def test_timing_fields_nonnegative(self):
         decoder = toy_decoder()

@@ -181,18 +181,16 @@ class TestThresholds:
     def test_static_frame_zero(self):
         frame = np.random.default_rng(5).standard_normal((4, 3))
         v = VideoTokens(3, 4, 3, np.tile(frame, (3, 1)))
-        thr = frame_thresholds(*importance_maps(v))
+        thr = frame_thresholds(importance_maps(v)[1])
         assert np.allclose(thr[1:], 0.0, atol=1e-12)
 
     def test_maximal_variation_is_one(self):
-        t = np.full((2, 4), 2.0)
-        s = np.zeros((2, 4))
-        thr = frame_thresholds(s, t)
+        thr = frame_thresholds(np.full((2, 4), 2.0))
         assert thr[1] == pytest.approx(1.0, abs=1e-12)
 
     def test_single_antipodal_token(self):
         t = np.array([[0.0, 0, 0, 0], [2.0, 0, 0, 0]])
-        thr = frame_thresholds(np.zeros_like(t), t)
+        thr = frame_thresholds(t)
         assert thr[1] == pytest.approx(0.5, abs=1e-12)
 
     def test_bounds_on_random_videos(self):
@@ -200,7 +198,7 @@ class TestThresholds:
         for _ in range(200):
             n, f, d = (int(rng.integers(1, 6)) for _ in range(3))
             v = VideoTokens(n, f + 1, d + 1, rng.standard_normal((n * (f + 1), d + 1)))
-            thr = frame_thresholds(*importance_maps(v))
+            thr = frame_thresholds(importance_maps(v)[1])
             assert ((thr >= 0.0) & (thr <= 1.0)).all()
 
 

@@ -102,14 +102,14 @@ class TestGeneration:
     def test_uniform_closed_form_threshold(self):
         rate = 0.8
         v = make(UniformMotion(rate), n=5, f=9, d=8)
-        thr = frame_thresholds(*importance_maps(v))
+        thr = frame_thresholds(importance_maps(v)[1])
         assert thr[1:] == pytest.approx(
             np.full(4, math.sin(rate / 2)), abs=1e-6
         )
 
     def test_burst_threshold_spikes(self):
         v = make(Burst(frames=(3,)), n=6, f=8, d=32)
-        thr = frame_thresholds(*importance_maps(v))
+        thr = frame_thresholds(importance_maps(v)[1])
         assert thr[3] > thr[2] and thr[3] > thr[4]
         # non-burst frames copy their predecessor exactly
         assert thr[2] == pytest.approx(0.0, abs=1e-9)
@@ -122,6 +122,11 @@ class TestGeneration:
         with pytest.raises(ConfigError, match="overflows the rotation angle"):
             UniformMotion(rate).generate(out, np.random.default_rng(0))
         assert (out == 7.0).all()
+
+    @pytest.mark.parametrize("rate", [-1.0, np.nan, np.inf])
+    def test_uniform_rejects_a_negative_or_non_finite_rate(self, rate):
+        with pytest.raises(ConfigError, match="rate must be a finite value >= 0"):
+            UniformMotion(rate)
 
     def test_burst_out_of_range(self):
         with pytest.raises(ConfigError):
@@ -217,6 +222,15 @@ class TestPromptEmbeddings:
     def test_shapes(self):
         system, instruction = gen_prompt_embeddings(0, 3, 7, 12)
         assert system.shape == (3, 12) and instruction.shape == (7, 12)
+
+    @pytest.mark.parametrize("args, match", [
+        ((-1, 3, 7, 12), "seed must be >= 0"),
+        ((0, -1, 7, 12), "prompt lengths must be >= 0"),
+        ((0, 3, -1, 12), "prompt lengths must be >= 0"),
+    ], ids=["seed", "system", "instruction"])
+    def test_rejects_a_negative_seed_or_length(self, args, match):
+        with pytest.raises(ConfigError, match=match):
+            gen_prompt_embeddings(*args)
 
     def test_streams_independent_of_video(self):
         system, _ = gen_prompt_embeddings(9, 4, 4, 8)

@@ -19,7 +19,6 @@ from hypothesis import assume, example, given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from sharpv.cache import SegmentedSequence
 from sharpv.errors import ShapeMismatchError
 from sharpv.memory import degradation_profile
 from sharpv.pruner import VideoTokens, importance_maps
@@ -131,9 +130,8 @@ class TestCosine:
         assert cosine([0.0, 0.0], [1.0, 1.0]) == 0.0
 
     def test_dimension_mismatch_raises(self):
-        spans = SegmentedSequence(system_len=0, visual_len=2, instruction_len=0)
         with pytest.raises(ShapeMismatchError):
-            degradation_profile(np.ones((2, 1)), np.ones((2, 2)), spans)
+            degradation_profile(np.ones((2, 1)), np.ones((2, 2)))
 
     @given(vec_strategy(7), vec_strategy(7))
     def test_bounded(self, a, b):

@@ -15,8 +15,9 @@ the pairs the change won, the change's relative distance from the
 parent's median (positive is worse) and whether that median difference
 exceeds the parent's quartile spread, and whether the change is within
 the metric's bound. It also gives, per side, the median of every set-up
-step in ``details.setup_repeats_s`` over all runs' repeats, since
-``setup_s`` adds a single cold import to them.
+step in ``details.setup_repeats_s`` over all runs' repeats and the
+median cold import, ``details.setup_import_s``: ``setup_s`` is that one
+import plus the set-up steps, so the two tell which of them moved.
 ``--out`` writes the summary and every run's metrics as JSON.
 
 Exits 1 if any run fails or reports ``correct: false``. Standard
@@ -45,9 +46,10 @@ def quartiles(values: list[float]) -> dict:
 
 def summarize(pairs: list[dict], end_to_end: list[dict]) -> dict:
     """Compare the two sides of ``pairs``, each a dict with a ``parent``
-    and a ``change`` run record (``metrics``: name -> value, and
-    ``setup_repeats_s``: a list of {step: seconds}), over the
-    ``end_to_end`` metric specs of BENCHMARK.json."""
+    and a ``change`` run record (``metrics``: name -> value,
+    ``setup_import_s``: seconds, and ``setup_repeats_s``: a list of
+    {step: seconds}), over the ``end_to_end`` metric specs of
+    BENCHMARK.json."""
     metrics = {}
     for spec in end_to_end:
         name, lower = spec["name"], spec["better"] == "lower"
@@ -75,7 +77,10 @@ def summarize(pairs: list[dict], end_to_end: list[dict]) -> dict:
         repeats = [r for p in pairs for r in p[side]["setup_repeats_s"]]
         steps = dict.fromkeys(step for r in repeats for step in r)
         setup[side] = {step: statistics.median(r[step] for r in repeats) for step in steps}
-    return {"pairs": len(pairs), "metrics": metrics, "setup_step_medians_s": setup}
+    imports = {side: statistics.median(p[side]["setup_import_s"] for p in pairs)
+               for side in SIDES}
+    return {"pairs": len(pairs), "metrics": metrics, "setup_import_medians_s": imports,
+            "setup_step_medians_s": setup}
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -96,6 +101,7 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
         "failed": result["failed"],
         "requests_timed": details["requests_timed"],
         "metrics": {name: m["value"] for name, m in result["metrics"].items()},
+        "setup_import_s": details["setup_import_s"],
         "setup_repeats_s": details["setup_repeats_s"],
     }
 
@@ -108,6 +114,9 @@ def print_summary(workload: str, summary: dict) -> None:
               f"  change {c['median']:.4f}  won {m['pairs_won']}/{summary['pairs']}"
               f"  worse_by {m['worse_by']:+.4f} (bound {m['bound']})"
               f"  beats parent IQR: {m['beats_parent_iqr']}")
+    imports = summary["setup_import_medians_s"]
+    print(f"  cold import median (s): parent {imports['parent']:.5f}"
+          f"  change {imports['change']:.5f}")
     print("  set-up step medians (s):")
     setup = summary["setup_step_medians_s"]
     for step in setup["parent"]:

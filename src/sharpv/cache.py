@@ -14,16 +14,25 @@ view of it. Value, position and tag buffers are entry-major. This module
 alone allocates them. A layer either owns all four buffers or none:
 ``KVCacheLayer.projected`` builds a prefill layer in four buffers,
 projecting its keys and values straight into them, so spare rows take
-decode appends without a copy. A layer that owns none copies itself
-into new buffers on its first append, and buffers double when full.
+decode appends without a copy.
+
+``KVCacheLayer.reserve(rows)`` makes room for ``rows`` more entries: a
+layer that owns its four buffers with that many spare rows is left
+alone, and any other is copied once into buffers of exactly its length
+plus ``rows``. The pipeline reserves every layer's decode entries before
+the first decode step, so a layer is copied at most once and ends decode
+with no spare row. ``append`` falls back to the same copy, at twice the
+layer's length, when it is handed a full layer or one that owns no
+buffers.
 
 A prefill layer of n entries asked for ``spare_rows`` has room for
 ``min(spare_rows, n)`` entries beyond them: a layer the stage-2 hook
 keeps as it is takes that many decode entries without copying
 anything, while a layer the hook replaces (evicted or re-encoded) owns
-no buffers, and its first append copies it. The pipeline asks for one
-spare row per decode step after the first; the cap at n is the
-doubling an append would make anyway.
+no buffers, and ``reserve`` copies it. The pipeline asks for one spare
+row per decode step after the first. The cap at n bounds the rows
+prefill allocates for layers that stage 2 may then evict: past it,
+``reserve`` copies a kept layer once, to its final size.
 """
 
 from __future__ import annotations
@@ -124,6 +133,18 @@ class KVCacheLayer:
     def __len__(self) -> int:
         return self.keys.shape[0]
 
+    def reserve(self, rows: int) -> None:
+        """Make room for ``rows`` more entries, so that the next ``rows``
+        appends write in place. A layer that owns its four buffers with
+        that many spare rows is left alone; any other is copied once into
+        buffers of exactly ``len(self) + rows`` entries, which it then owns.
+        """
+        if rows < 0:
+            raise ValueError(f"rows must be >= 0, got {rows}")
+        n = len(self)
+        if not self._has_room(n, rows):
+            self._regrow(n, n + rows)
+
     def append(self, key: np.ndarray, value: np.ndarray, tag: Segment, position: int) -> None:
         """Add one entry, in amortised O(1) copies.
 
@@ -133,23 +154,38 @@ class KVCacheLayer:
         own its arrays (built directly, or by ``apply_discard`` or
         ``reencode_positions``, whose arrays may share memory with another
         layer) copies them into new buffers of twice its length first, as
-        does a full one.
+        does a full one; ``reserve`` first avoids both.
         """
         n = len(self)
-        bufs = self._buffers
-        # The checks are unrolled: a generator over the four arrays costs
-        # more per step than the writes themselves.
-        if (bufs is None or bufs[1].shape[0] == n
-                or self.keys.base is not bufs[0] or self.values.base is not bufs[1]
-                or self.position_ids.base is not bufs[2]
-                or self.segment_tags.base is not bufs[3]):
-            bufs = self._buffers = _grown(self, max(2 * n, 1))
-        key_buf, value_buf, position_buf, tag_buf = bufs
+        if not self._has_room(n, 1):
+            self._regrow(n, max(2 * n, 1))
+        key_buf, value_buf, position_buf, tag_buf = self._buffers
         key_buf[:, :, n] = key
         value_buf[n] = value
         position_buf[n] = position
         tag_buf[n] = tag
-        n += 1
+        self._view(n + 1)
+
+    def _has_room(self, n: int, rows: int) -> bool:
+        """Whether this layer of ``n`` entries owns all four buffers, with
+        ``rows`` spare rows in them."""
+        bufs = self._buffers
+        # The checks are unrolled: a generator over the four arrays costs
+        # more per step than the writes themselves.
+        return (bufs is not None and bufs[1].shape[0] - n >= rows
+                and self.keys.base is bufs[0] and self.values.base is bufs[1]
+                and self.position_ids.base is bufs[2]
+                and self.segment_tags.base is bufs[3])
+
+    def _regrow(self, n: int, capacity: int) -> None:
+        """Copy the layer's ``n`` entries into new buffers of ``capacity``
+        entries, and view them."""
+        self._buffers = _grown(self, capacity)
+        self._view(n)
+
+    def _view(self, n: int) -> None:
+        """Point the four arrays at the first ``n`` entries of the buffers."""
+        key_buf, value_buf, position_buf, tag_buf = self._buffers
         self.keys = key_buf[:, :, :n].transpose(2, 0, 1)
         self.values = value_buf[:n]
         self.position_ids, self.segment_tags = position_buf[:n], tag_buf[:n]

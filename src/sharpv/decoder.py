@@ -141,7 +141,9 @@ class DecoderConfig:
         # the weights (embedding and head; per layer four (d, d) and two
         # (d, mlp_dim) blocks) and a cache of max_positions keys and values
         # in every layer, so a decoder that could not be built or filled
-        # is rejected before anything is allocated
+        # is rejected before anything is allocated. A pipeline run stays
+        # within it: every layer reserves its decode rows and ends at its
+        # entry count. Direct appends can still double a layer past it.
         d = self.model_dim
         per_layer = 4 * d * d + 2 * d * self.mlp_dim + 2 * self.max_positions * d
         elements = 2 * self.vocab * d + self.layers * per_layer

@@ -83,8 +83,11 @@ def run_pipeline(
     t_start = time.perf_counter()
 
     pruned = prune_video(video, config)
-
     embedded, spans = _assemble(prompt, pruned.tokens)
+    # embedded holds the kept visual rows now, so prefill runs without
+    # the pruned copy
+    vr, thresholds, keep_counts = pruned.vr, pruned.thresholds, pruned.keep_counts
+    del pruned
     _check_positions(decoder, spans, config.decode_steps)
     prefill, sims, discarded = prefill_with_eviction(
         decoder, embedded, spans, config.degradation_threshold,
@@ -102,10 +105,9 @@ def run_pipeline(
     layers_before = [spans.segment_counts() for _ in cache]
     bytes_after = sum(layer.nbytes() for layer in cache)
     layers_after = [layer.segment_counts() for layer in cache]
-    vr, thresholds, keep_counts = pruned.vr, pruned.thresholds, pruned.keep_counts
-    # Decode needs only the cache: the prompt, the kept visual tokens and
-    # the prefill states are not kept alive through it.
-    del prefill, pruned, embedded
+    # Decode needs only the cache: the prompt and the prefill states are
+    # not kept alive through it.
+    del prefill, embedded
 
     generated = _greedy(decoder, cache, first_token, config.decode_steps)
     t_end = time.perf_counter()
@@ -218,7 +220,12 @@ def _check_positions(decoder: Decoder, spans: SegmentedSequence, steps: int) -> 
 
 
 def _greedy(decoder: Decoder, cache: list[KVCacheLayer], first_token: int, steps: int) -> list:
-    """first_token, then steps - 1 greedy decode steps on the cache (mutated)."""
+    """first_token, then steps - 1 greedy decode steps on the cache
+    (mutated). Every layer first reserves its steps - 1 entries, so it is
+    copied at most once, to exactly the size decode leaves it at, and
+    every append writes in place."""
+    for layer in cache:
+        layer.reserve(steps - 1)
     generated = [first_token]
     for _ in range(steps - 1):
         logits, _ = decoder.decode_step(cache, decoder.embedding[generated[-1]])

@@ -8,7 +8,8 @@ Order of operations and where the clocks sit:
      its discard and, for a discarded layer, drops the visual rows and
      re-encodes positions (``prefill_with_eviction``)
   3. first token = argmax over the prefill logits  <- TTFT stops here
-  4. greedy decode the remaining steps             <- TPOT averages these
+  4. reserve every cache layer's decode rows, then greedy decode the
+     remaining steps                                <- TPOT averages these
 
 Stage 2 therefore costs TTFT, not TPOT: it needs only each layer's own
 input, so it runs while that layer is built, and neither the L*T*d

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from sharpv import cache as cache_module
 from sharpv.cache import KVCacheLayer, Segment, SegmentedSequence
 from sharpv.decoder import Decoder, DecoderConfig
 from prefill_trace import traced_prefill
@@ -151,6 +152,102 @@ class TestKVCacheLayer:
         assert np.array_equal(layer.values[n0:], [v for _, v in rows])
         assert np.array_equal(layer.position_ids, np.arange(n0 + steps))
         assert len(layer.values) == len(layer.segment_tags) == n0 + steps
+
+    @staticmethod
+    def count_copies(monkeypatch):
+        """Capacities passed to cache._grown, one per copy, from now on."""
+        capacities = []
+        grown = cache_module._grown
+
+        def counted(layer, capacity):
+            capacities.append(capacity)
+            return grown(layer, capacity)
+
+        monkeypatch.setattr(cache_module, "_grown", counted)
+        return capacities
+
+    @staticmethod
+    def buffers(layer):
+        return [getattr(layer, f).base for f in ("keys", "values", "position_ids", "segment_tags")]
+
+    @staticmethod
+    def append_rows(layer, count, seed=9):
+        n = len(layer)
+        rows = np.random.default_rng(seed).standard_normal((count, 2, 2, 4))
+        for i, (key, value) in enumerate(rows):
+            layer.append(key, value, Segment.GENERATED, position=n + i)
+        return rows
+
+    def test_reserve_leaves_a_layer_with_room_alone(self, monkeypatch):
+        rng = np.random.default_rng(10)
+        states, w = rng.standard_normal((6, 8)), rng.standard_normal((8, 16))
+        layer = KVCacheLayer.projected(states, w[:, :8], w[:, 8:], 2,
+                                       spans_for(6, visual=(1, 4)).tags(), spare_rows=3)
+        arrays = layer.keys, layer.values, layer.position_ids, layer.segment_tags
+        copies = self.count_copies(monkeypatch)
+        for rows in (0, 2, 3):
+            layer.reserve(rows)
+        assert copies == []
+        assert all(a is b for a, b in zip(
+            (layer.keys, layer.values, layer.position_ids, layer.segment_tags), arrays))
+
+    def test_reserve_copies_a_layer_owning_no_buffers_once_to_its_exact_size(self, monkeypatch):
+        # apply_discard gathers the kept rows into arrays of their own,
+        # which the layer holds without buffers behind them
+        layer = apply_discard(make_layer(10, visual=(2, 6)))
+        assert len(layer) == 6 and layer.keys.base is None
+        held = layer.keys.copy(), layer.values.copy(), layer.position_ids.copy()
+        copies = self.count_copies(monkeypatch)
+        layer.reserve(5)
+        assert copies == [11]
+        bufs = self.buffers(layer)
+        assert bufs[0].shape == (2, 4, 11) and bufs[1].shape == (11, 2, 4)
+        assert bufs[2].shape == bufs[3].shape == (11,)
+        assert np.array_equal(layer.keys, held[0]) and np.array_equal(layer.values, held[1])
+        assert np.array_equal(layer.position_ids, held[2])
+        rows = self.append_rows(layer, 5)
+        assert copies == [11]  # the five appends wrote in place
+        assert all(a is b for a, b in zip(self.buffers(layer), bufs))
+        assert np.array_equal(layer.keys[6:], rows[:, 0])
+        assert np.array_equal(layer.keys[:6], held[0])
+        self.append_rows(layer, 1)  # a full layer doubles
+        assert copies == [11, 22]
+
+    def test_reserve_copies_an_owning_layer_short_of_rows_once(self, monkeypatch):
+        rng = np.random.default_rng(11)
+        states, w = rng.standard_normal((6, 8)), rng.standard_normal((8, 16))
+        layer = KVCacheLayer.projected(states, w[:, :8], w[:, 8:], 2,
+                                       spans_for(6, visual=(1, 4)).tags(), spare_rows=2)
+        old_keys, old_bufs = layer.keys, self.buffers(layer)
+        held = layer.keys.copy()
+        copies = self.count_copies(monkeypatch)
+        layer.reserve(7)
+        assert copies == [13]
+        assert self.buffers(layer)[1].shape[0] == 13
+        assert not any(a is b for a, b in zip(self.buffers(layer), old_bufs))
+        self.append_rows(layer, 7)
+        assert copies == [13] and len(layer) == 13
+        assert np.array_equal(layer.keys[:6], held)
+        assert np.array_equal(old_keys, held)  # a view handed out before is unchanged
+        assert np.array_equal(layer.position_ids, np.arange(13))
+
+    def test_reserve_zero_on_an_empty_layer(self, monkeypatch):
+        layer = KVCacheLayer(keys=np.zeros((0, 2, 4)), values=np.zeros((0, 2, 4)),
+                             position_ids=np.zeros(0, np.int64),
+                             segment_tags=np.zeros(0, np.uint8))
+        copies = self.count_copies(monkeypatch)
+        layer.reserve(0)
+        assert copies == [0] and len(layer) == 0
+        layer.reserve(0)  # it owns its (empty) buffers now
+        assert copies == [0]
+        rows = self.append_rows(layer, 1)
+        assert copies == [0, 1]
+        assert np.array_equal(layer.keys, rows[:, 0])
+        assert list(layer.segment_tags) == [Segment.GENERATED]
+
+    def test_reserve_rejects_negative_rows(self):
+        with pytest.raises(ValueError, match="rows must be >= 0, got -1"):
+            make_layer(4).reserve(-1)
 
     def test_next_position_counts_entries(self):
         # decode_step gives a new entry the position len(layer)

@@ -8,7 +8,7 @@ import pytest
 
 from prefill_trace import traced_prefill
 from sharpv import pipeline
-from sharpv.cache import Segment, SegmentedSequence
+from sharpv.cache import KVCacheLayer, Segment, SegmentedSequence
 from sharpv.decoder import Decoder, DecoderConfig
 from sharpv.memory import apply_discard, degradation_profile, reencode_positions
 from sharpv.pipeline import (
@@ -271,6 +271,107 @@ class TestDiscardInPipeline:
             tracemalloc.stop()
         assert discarded == list(range(1, 8))
         assert peak <= 5.5 * 2**20
+
+    def test_run_peak_memory_on_long_prompt(self):
+        # perfbench's prefill_long input. Prefill sets the peak; the pruned
+        # video's tokens (0.53 MiB, copied into the assembled prompt) took
+        # it from 4.94 to 5.46 MiB while run_pipeline held them through it.
+        decoder = toy_decoder()
+        video, prompt = make_inputs(n=64, f=64, seed=0)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            _, report = run_pipeline(decoder, video, prompt, PipelineConfig(decode_steps=8))
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert report.discarded_layers == list(range(1, 8))
+        assert peak <= 5.2 * 2**20
+
+
+class TestCacheAllocation:
+    """Decode reserves every layer's rows before its first step, so a layer
+    is copied at most once and ends at exactly its entry count."""
+
+    FIELDS = ("keys", "values", "position_ids", "segment_tags")
+
+    @classmethod
+    def capacities(cls, layer):
+        key_buf, *rest = (getattr(layer, f).base for f in cls.FIELDS)
+        return [key_buf.shape[-1]] + [buf.shape[0] for buf in rest]
+
+    @staticmethod
+    def decoded_cache(monkeypatch):
+        """The cache each _greedy call decodes into, from now on."""
+        caches = []
+        greedy = pipeline._greedy
+
+        def spy(decoder, cache, first_token, steps):
+            caches.append(cache)
+            return greedy(decoder, cache, first_token, steps)
+
+        monkeypatch.setattr(pipeline, "_greedy", spy)
+        return caches
+
+    @pytest.mark.parametrize("steps", [35, 36, 37, 38])
+    def test_layers_end_at_their_entry_count(self, steps, monkeypatch):
+        # A 23-token prompt fills 57-60 of max_positions=64 in the kept
+        # layer 0 and 46-49 in the evicted layer 1. Doubling appends left
+        # them in 92- and 96-row buffers, over the full cache that
+        # DecoderConfig's element budget assumes.
+        decoder = toy_decoder(layers=2, max_positions=64)
+        video, prompt = make_inputs(n=4, f=8)
+        caches = self.decoded_cache(monkeypatch)
+        _, report = run_pipeline(
+            decoder, video, prompt, PipelineConfig(degradation_threshold=0.5, decode_steps=steps)
+        )
+        assert report.discarded_layers == [1]
+        kept, evicted = caches[0]
+        assert len(kept) == 23 + steps - 1 and len(evicted) == len(kept) - 11
+        for layer in caches[0]:
+            assert self.capacities(layer) == [len(layer)] * 4
+
+    def test_decode_allocates_once(self, monkeypatch):
+        # perfbench's decode_long input at seed 0: layers 1-7 are evicted
+        # to 12 rows and take 255 appends each. Doubling re-inflated them
+        # into 384-row buffers in 37 copies, and decode peaked at 3.32 MiB
+        # traced; reserving copies each layer once, and the cache ends at
+        # its 2.13 MiB of keys and values.
+        decoder = toy_decoder()
+        video, prompt = make_inputs(n=16, f=32, seed=0)
+        config = PipelineConfig(mode="manual", manual_threshold=2.2, decode_steps=256)
+        caches = self.decoded_cache(monkeypatch)
+        greedy, peaks = pipeline._greedy, []
+
+        def traced(*args):
+            tracemalloc.reset_peak()
+            try:
+                return greedy(*args)
+            finally:
+                peaks.append(tracemalloc.get_traced_memory()[1])
+
+        moved = []
+        append = KVCacheLayer.append
+
+        def owner_kept(layer, *args, **kwargs):
+            held = layer._buffers
+            append(layer, *args, **kwargs)
+            moved.append(layer._buffers is not held)
+
+        monkeypatch.setattr(pipeline, "_greedy", traced)
+        monkeypatch.setattr(KVCacheLayer, "append", owner_kept)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            _, report = run_pipeline(decoder, video, prompt, config)
+        finally:
+            tracemalloc.stop()
+        assert report.discarded_layers == list(range(1, 8))
+        assert peaks[0] - base <= 2.5 * 2**20
+        assert len(moved) == 8 * 255 and not any(moved)
+        for layer in caches[0]:
+            assert self.capacities(layer) == [len(layer)] * 4
+        assert sum(layer.nbytes() for layer in caches[0]) == (313 + 7 * 267) * 2 * 64 * 8
 
 
 class TestStreamedEviction:

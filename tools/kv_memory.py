@@ -31,6 +31,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
+import sharpv  # noqa: E402
 import worker  # noqa: E402  perfbench's workload table and set-up
 from sharpv import cache, pipeline  # noqa: E402
 
@@ -47,7 +48,7 @@ def measure(workload: str, seed: int) -> dict:
     """Traced peak per phase (bytes), regrowth (copies, bytes) and each
     layer's (entries, capacity) after one ``run_pipeline`` call."""
     with tempfile.TemporaryDirectory() as tmp:
-        inputs, _ = worker.set_up(sys.modules["sharpv"], worker.WORKLOADS[workload], seed,
+        inputs, _ = worker.set_up(sharpv, worker.WORKLOADS[workload], seed,
                                   Path(tmp) / "video.shrpvid")
     peaks, copies, caches = {}, [], []
     grown, saved = cache._grown, {name: getattr(pipeline, name) for name in PHASES.values()}
@@ -63,7 +64,7 @@ def measure(workload: str, seed: int) -> dict:
                 return fn(*args, **kwargs)
             finally:
                 peaks[phase] = tracemalloc.get_traced_memory()[1] - base
-                if fn is saved["_greedy"]:
+                if fn is saved["_greedy"]:  # (decoder, cache, first_token, steps)
                     caches.append(args[1])
         return call
 

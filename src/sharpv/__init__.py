@@ -8,7 +8,6 @@ stages run against a small deterministic decoder so every claim in the
 test suite is checkable end to end.
 """
 
-from .bench import cache_bytes_linear, cache_bytes_table, run_bench, scoring_cost_scaling
 from .cache import KVCacheLayer, Segment, SegmentedSequence
 from .decoder import Decoder, DecoderConfig, PrefillResult, init_decoder
 from .errors import (
@@ -63,10 +62,9 @@ __all__ = [
     "SegmentedSequence", "ShapeMismatchError", "SharpVError", "Static",
     "SyntheticVideoSpec", "TensorFormatError", "TruncatedFileError",
     "UniformMotion", "VideoTokens", "apply_discard", "baseline_generate",
-    "cache_bytes_linear", "cache_bytes_table", "degradation_profile",
-    "discard_decision", "frame_thresholds", "gen_prompt_embeddings",
-    "gen_synthetic_video", "importance_maps", "init_decoder", "parse_pattern",
-    "prefill_with_eviction", "prune_video", "read_video", "reencode_positions",
-    "run_bench", "run_pipeline", "scoring_cost_scaling", "unit_rows",
+    "degradation_profile", "discard_decision", "frame_thresholds",
+    "gen_prompt_embeddings", "gen_synthetic_video", "importance_maps",
+    "init_decoder", "parse_pattern", "prefill_with_eviction", "prune_video",
+    "read_video", "reencode_positions", "run_pipeline", "unit_rows",
     "validate_report", "write_video",
 ]

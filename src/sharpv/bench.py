@@ -1,13 +1,11 @@
-"""Scaling measurements behind the `bench` subcommand.
+"""Scaling measurements behind acceptance criterion 9.
 
-Two tables: median visual-scoring wall time over a token-count ladder
-(the scoring pass is linear in n*f*d, so doubling either axis should at
-most double the median, plus timer noise), and KV-cache payload bytes
-over a retained-length ladder (exactly linear by layout arithmetic,
-measured on real prefill caches rather than asserted). ``run_bench``
-builds both from one base size and a ladder of scales and checks all of
-its inputs first, so `sharpv bench` only parses its flags, calls it and
-prints the tables.
+Two tables: median visual-scoring wall time per (n, f, d) size (the
+scoring pass is linear in n*f*d, so doubling either axis should at most
+double the median, plus timer noise), and KV-cache payload bytes over a
+retained-length ladder (exactly linear by layout arithmetic, measured on
+real prefill caches rather than asserted). End-to-end timing lives in
+perfbench, not here.
 """
 
 from __future__ import annotations
@@ -21,14 +19,10 @@ from .cache import SegmentedSequence
 from .decoder import Decoder, DecoderConfig
 from .errors import ConfigError
 from .pruner import PrunerConfig, VideoTokens, prune_video
-from .tensorio import MAX_ELEMENTS
-
-DEFAULT_SCALES = (1, 2, 4)
-DEFAULT_REPEATS = 20
 
 
 def scoring_cost_scaling(
-    sizes: list[tuple[int, int, int]], repeats: int = DEFAULT_REPEATS, seed: int = 0
+    sizes: list[tuple[int, int, int]], repeats: int, seed: int = 0
 ) -> list[dict]:
     """Median wall-time of the full scoring+selection pass per (n, f, d) size.
 
@@ -113,40 +107,3 @@ def cache_bytes_linear(rows) -> bool:
     per_unit = {row["bytes"] * 1.0 / row["length"] for row in rows}
     return len(per_unit) == 1
 
-
-def run_bench(
-    n: int, f: int, d: int, scales=DEFAULT_SCALES, repeats: int = DEFAULT_REPEATS,
-    seed: int = 0,
-) -> dict:
-    """Both ladders for an (n, f, d) base size: scoring time at (n, f*s, d)
-    and cache bytes at length n*f*s, for each scale s. Every input is
-    checked, with ConfigError, before any scoring or prefill starts, and
-    the scoring pass runs before the prefills."""
-    scales = [int(s) for s in scales]
-    if len(scales) < 3:
-        raise ConfigError(f"need a ladder of >= 3 sizes, got {len(scales)}")
-    if min(n, f, d, repeats, *scales) < 1:
-        raise ConfigError(
-            f"n, f, d, repeats and every scale must be >= 1, got n={n} f={f} "
-            f"d={d} repeats={repeats} scales={scales}"
-        )
-    if seed < 0:
-        raise ConfigError(f"seed must be >= 0, got {seed}")
-    # the largest scale's scoring input is allocated whole
-    if n * f * max(scales) * d > MAX_ELEMENTS:
-        raise ConfigError(
-            f"n*f*max(scales)*d = {n * f * max(scales) * d} exceeds "
-            f"the element budget of {MAX_ELEMENTS}"
-        )
-    cache_lengths = _cache_ladder([n * f * s for s in scales])
-    scoring = scoring_cost_scaling([(n, f * s, d) for s in scales], repeats=repeats, seed=seed)
-    base = scoring[0]["median_seconds"]
-    for row, scale in zip(scoring, scales):
-        row["scale"] = scale
-        row["ratio_to_base"] = row["median_seconds"] / base if base > 0 else float("nan")
-    cache_rows = cache_bytes_table(cache_lengths)
-    return {
-        "scoring": scoring,
-        "cache": cache_rows,
-        "cache_bytes_linear": cache_bytes_linear(cache_rows),
-    }

@@ -1,25 +1,23 @@
-"""Command-line harness: run the pipeline, generate inputs, benchmark.
+"""Command-line harness: run the pipeline, generate inputs.
 
-    sharpv run   [--pattern P] [--n N] [--f F] [--d D] [--seed S]
-                 [--mode adaptive|manual] [--w W] [--k K] [--m M]
-                 [--decode-steps T] [--in video.svt] [--out report.json]
-                 [--config cfg.json]
-    sharpv gen   --out video.svt [--pattern P] [--n N] [--f F] [--d D]
-                 [--seed S] [--config cfg.json]
-    sharpv bench [--n N] [--f F] [--d D] [--seed S] [--scales 1,2,4]
-                 [--repeats R] [--out table.json] [--config cfg.json]
+    sharpv run [--pattern P] [--n N] [--f F] [--d D] [--seed S]
+               [--mode adaptive|manual] [--w W] [--k K] [--m M]
+               [--decode-steps T] [--in video.svt] [--out report.json]
+               [--config cfg.json]
+    sharpv gen --out video.svt [--pattern P] [--n N] [--f F] [--d D]
+               [--seed S] [--config cfg.json]
 
 Settings resolve as defaults < JSON config file < command-line flags.
 Three tables next to ``HarnessConfig`` say everything about them:
 ``_TYPES`` (each setting's type, from its annotation), ``_FLAGS`` (the
 settings that have a flag) and ``_READS`` (the settings each of `run`,
-`run --in`, `gen` and `bench` reads). A command's parser has the flags
-in both ``_FLAGS`` and its set; a config key, or a flag, outside its set
-is rejected, and `run` echoes its set, with n, f and d, in the report's
-config. So `run --in`, whose file fixes n, f and d and which has no
-pattern, rejects all four and echoes no pattern. Settings without a
-flag (system_len, instruction_len, layers, heads, mlp_dim, vocab,
-max_positions, decoder_seed) are settable only via the file.
+`run --in` and `gen` reads). A command's parser has the flags in both
+``_FLAGS`` and its set, and `run` adds `--in`; a config key, or a flag,
+outside its set is rejected, and `run` echoes its set, with n, f and d,
+in the report's config. So `run --in`, whose file fixes n, f and d and
+which has no pattern, rejects all four and echoes no pattern. Settings
+without a flag (system_len, instruction_len, layers, heads, mlp_dim,
+vocab, max_positions, decoder_seed) are settable only via the file.
 
 The harness only parses arguments, calls the library and emits; `run`
 builds its pipeline and decoder configs, which check every setting they
@@ -27,9 +25,8 @@ hold, before it makes or reads a video. `run --in` learns d from its
 file's header, so it checks the decoder's settings between that header
 and the payload, both read through one handle (a pipe reads once).
 Decoder and pipeline defaults are ``DecoderConfig``'s and
-``PipelineConfig``'s, and the bench ladder's defaults and input checks
-are in ``bench``. The video and prompt defaults (pattern, n, f, seed,
-prompt lengths) live here, their only user.
+``PipelineConfig``'s. The video and prompt defaults (pattern, n, f,
+seed, prompt lengths) live here, their only user.
 
 Exit codes: 0 success, 2 configuration error, 3 I/O or file-format
 error, 4 report invariant violation.
@@ -43,7 +40,6 @@ import sys
 from dataclasses import asdict, dataclass, replace
 from typing import get_type_hints
 
-from . import bench as bench_mod
 from .decoder import Decoder, DecoderConfig
 from .errors import (
     EXIT_CONFIG,
@@ -116,7 +112,6 @@ _READS = {
     "run": frozenset(_TYPES),
     "run --in": frozenset(_TYPES) - {"pattern", "n", "f", "d"},  # the file fixes n, f, d
     "gen": frozenset({"pattern", "n", "f", "d", "seed"}),
-    "bench": frozenset({"n", "f", "d", "seed"}),
 }
 _KINDS = {int: "an integer", float: "a number", str: "a string"}
 
@@ -211,19 +206,6 @@ def cmd_gen(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_bench(args: argparse.Namespace) -> int:
-    cfg = resolve_config(args, "bench")
-    try:
-        scales = tuple(int(s) for s in args.scales.split(","))
-    except ValueError as exc:
-        raise ConfigError(f"--scales must be comma-separated integers: {exc}") from exc
-    table = bench_mod.run_bench(
-        cfg.n, cfg.f, cfg.d, scales=scales, repeats=args.repeats, seed=cfg.seed
-    )
-    _emit(json.dumps(table, indent=2, sort_keys=True), args.out_path)
-    return EXIT_OK
-
-
 def build_parser() -> argparse.ArgumentParser:
     """One subcommand per command; each takes a flag for every setting in
     both ``_FLAGS`` and the settings it reads (``run --in`` shares
@@ -234,25 +216,19 @@ def build_parser() -> argparse.ArgumentParser:
         description="Two-stage visual token pruning and KV-cache eviction harness.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    parsers = {}
     for command, handler, help_text in (
         ("run", cmd_run, "run the full pipeline, print a JSON report"),
         ("gen", cmd_gen, "write a synthetic video tensor file"),
-        ("bench", cmd_bench, "scaling tables for scoring time and cache bytes"),
     ):
-        p = parsers[command] = sub.add_parser(command, help=help_text)
+        p = sub.add_parser(command, help=help_text)
         for name, text in _FLAGS.items():
             if name in _READS[command]:
                 p.add_argument("--" + name.replace("_", "-"), type=_TYPES[name], help=text)
         p.add_argument("--out", dest="out_path", help="output path (default stdout)")
         p.add_argument("--config", help="JSON config file")
         p.set_defaults(handler=handler)
-    parsers["run"].add_argument("--in", dest="in_path",
-                                help="read video tokens from a tensor file")
-    parsers["bench"].add_argument("--scales", default=",".join(map(str, bench_mod.DEFAULT_SCALES)),
-                                  help="comma-separated size multipliers")
-    parsers["bench"].add_argument("--repeats", type=int, default=bench_mod.DEFAULT_REPEATS,
-                                  help="timing repetitions per size")
+    sub.choices["run"].add_argument("--in", dest="in_path",
+                                    help="read video tokens from a tensor file")
     return parser
 
 

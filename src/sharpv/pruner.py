@@ -41,6 +41,12 @@ from .vecmath import check_value_range, row_chunks, unit_rows
 MODE_ADAPTIVE = "adaptive"
 MODE_MANUAL = "manual"
 
+# An adaptive count within this of a half rounds up. A threshold that is
+# exactly 0.5 in real numbers (a zero frame after any frame scores 1 per
+# token) computes as 0.5 +- 1 ulp by summation order, and rounding noise
+# must not choose between (f-1)/2 and (f+1)/2 tokens.
+_HALF_SLACK = 1e-9
+
 
 @dataclass(frozen=True, eq=False)
 class VideoTokens:
@@ -159,8 +165,8 @@ def prune_video(video: VideoTokens, config: PrunerConfig) -> PrunedVideo:
     """Score every token, decide every frame's retention, and keep the survivors.
 
     Adaptive: frame t keeps its round(threshold_t * f) highest combined
-    scores, clamped to [1, f]; a stable sort ranks tied tokens by index,
-    so the lower index wins a tie at the cut. Manual: a token is kept iff
+    scores, a half rounded up and clamped to [1, f]; a stable sort ranks
+    tied tokens by index, so the lower index wins a tie at the cut. Manual: a token is kept iff
     its combined score is >= K, and a frame with none keeps its first
     argmax.
     """
@@ -170,7 +176,7 @@ def prune_video(video: VideoTokens, config: PrunerConfig) -> PrunedVideo:
     f = video.f
     keep = np.empty((video.n, f), dtype=bool)
     if config.mode == MODE_ADAPTIVE:
-        counts = np.clip(np.floor(thresholds * f + 0.5), 1, f).astype(np.int64)
+        counts = np.clip(np.floor(thresholds * f + (0.5 + _HALF_SLACK)), 1, f).astype(np.int64)
         order = np.argsort(-combined, axis=1, kind="stable")
         # keep[t, order[t, r]] = r < counts[t]: kept iff ranked below the count
         np.put_along_axis(keep, order, np.arange(f) < counts[:, None], axis=1)

@@ -64,7 +64,8 @@ def thresholds(spatial_rows, temporal_rows):
 
 
 def keep_count(threshold, f):
-    return int(min(max(math.floor(threshold * f + 0.5), 1), f))
+    # a count within 1e-9 of a half rounds up, as in prune_video
+    return int(min(max(math.floor(threshold * f + 0.5 + 1e-9), 1), f))
 
 
 def topk(scores, k):

@@ -1,4 +1,5 @@
-"""Acceptance gate: one test per shipped claim, each printing a verdict line.
+"""Acceptance gate: one test per shipped claim, each printing a verdict line,
+plus the input checks of the scaling measurements criterion 9 uses.
 
 Run with `pytest tests/test_acceptance.py -v -s` to see every verdict.
 Tolerances are pinned in the assertions; a failure here means a shipped
@@ -14,6 +15,7 @@ import pytest
 from sharpv.bench import cache_bytes_linear, cache_bytes_table, scoring_cost_scaling
 from sharpv.cache import KVCacheLayer, SegmentedSequence
 from sharpv.decoder import Decoder, DecoderConfig
+from sharpv.errors import ConfigError
 from sharpv.memory import apply_discard, reencode_positions
 from sharpv.pipeline import (
     PipelineConfig, PromptEmbeddings, baseline_generate, prefill_with_eviction, run_pipeline,
@@ -271,6 +273,22 @@ def test_c09_complexity_scaling():
         f"2x tokens -> {ratio_tokens:.2f}x, 2x dim -> {ratio_dim:.2f}x, "
         f"linear {linear}, {elapsed:.1f}s",
     )
+
+
+def test_scoring_needs_a_repeat_and_the_ladder_two_lengths():
+    with pytest.raises(ValueError, match="repeats must be >= 1"):
+        scoring_cost_scaling([(2, 4, 16)], repeats=0)
+    with pytest.raises(ConfigError, match="need >= 2 positive lengths"):
+        cache_bytes_table([8])
+
+
+def test_cache_ladder_over_max_positions_rejected(monkeypatch):
+    def built(config):
+        raise AssertionError("decoder built")
+
+    monkeypatch.setattr("sharpv.bench.Decoder", built)
+    with pytest.raises(ConfigError, match="max_positions"):
+        cache_bytes_table([8, DecoderConfig().max_positions + 1])
 
 
 def test_c10_api_surface_audit():

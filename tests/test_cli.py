@@ -11,7 +11,7 @@ import pytest
 
 import sharpv.cli as cli
 from sharpv.decoder import Decoder, DecoderConfig
-from sharpv.errors import ConfigError, InvariantViolation
+from sharpv.errors import InvariantViolation
 from sharpv.pipeline import PipelineConfig, PromptEmbeddings, run_pipeline
 from sharpv.synth import SyntheticVideoSpec, gen_prompt_embeddings, gen_synthetic_video, parse_pattern
 from sharpv.tensorio import read_video
@@ -27,16 +27,6 @@ def run_report(capsys, *argv):
     code, out, err = run_cli(capsys, "run", *argv)
     assert code == 0, err
     return json.loads(out)
-
-
-def forbid_bench_work(monkeypatch):
-    """Make any bench scoring pass or decoder build (for the cache
-    ladder's prefills) fail the test."""
-    def started(*args, **kwargs):
-        raise AssertionError("bench started")
-
-    monkeypatch.setattr(cli.bench_mod, "scoring_cost_scaling", started)
-    monkeypatch.setattr(cli.bench_mod, "Decoder", started)
 
 
 class TestRun:
@@ -156,11 +146,8 @@ class TestExitCodes:
         (["run", "--pattern", "uniform:-1"], None, "rate must be a finite value >= 0"),
         (["run"], {"system_len": 0}, "prompt segment lengths must be >= 1"),
         (["run"], [], "must hold a JSON object"),
-        (["bench", "--scales", "1,x"], None, "--scales must be comma-separated integers"),
-    ], ids=["negative-rate", "system-len", "config-list", "scales"])
-    def test_bad_setting_is_config_error(self, capsys, tmp_path, monkeypatch, argv, config,
-                                         message):
-        forbid_bench_work(monkeypatch)
+    ], ids=["negative-rate", "system-len", "config-list"])
+    def test_bad_setting_is_config_error(self, capsys, tmp_path, argv, config, message):
         if config is not None:
             cfg = tmp_path / "cfg.json"
             cfg.write_text(json.dumps(config))
@@ -227,7 +214,6 @@ class TestExitCodes:
     @pytest.mark.parametrize("argv", [
         ("gen", "--pattern", "static"),
         ("run", "--pattern", "static"),
-        ("bench", "--scales", "1,2,4"),
     ])
     def test_oversized_input_is_config_error(self, capsys, tmp_path, argv):
         # 6.4e15 elements: far past the budget, and far past what numpy could
@@ -238,21 +224,6 @@ class TestExitCodes:
         )
         assert code == 2
         assert "element budget" in err
-        assert not out.exists()
-
-    def test_bench_ladder_over_max_positions_is_config_error(self, capsys, tmp_path, monkeypatch):
-        # n*f*max(scales) = 4,194,304 tokens is within the element budget at
-        # d=64, but its cache ladder would prefill a ~34 GB cache; it is
-        # rejected before any scoring or prefill starts.
-        forbid_bench_work(monkeypatch)
-        out = tmp_path / "out"
-        code, stdout, err = run_cli(
-            capsys, "bench", "--n", "1024", "--f", "1024", "--d", "64",
-            "--scales", "1,2,4", "--out", str(out),
-        )
-        assert code == 2
-        assert "max_positions" in err
-        assert stdout == ""
         assert not out.exists()
 
     def test_decode_past_max_positions_fails_before_prefill(self, capsys, tmp_path, monkeypatch):
@@ -352,115 +323,32 @@ class TestGen:
         assert "layers, mode" in err
 
 
-class TestBench:
-    def test_smoke(self, capsys):
-        code, out, _ = run_cli(
-            capsys, "bench", "--n", "2", "--f", "4", "--d", "16",
-            "--scales", "1,2,4", "--repeats", "3",
-        )
-        assert code == 0
-        table = json.loads(out)
-        assert [row["scale"] for row in table["scoring"]] == [1, 2, 4]
-        assert table["cache_bytes_linear"] is True
-        lengths = [row["length"] for row in table["cache"]]
-        assert lengths == [8, 16, 32]
-
-    @pytest.mark.parametrize("flags", [
-        ("--d", "0"),
-        ("--n", "-2", "--f", "-2"),  # n*f > 0 passes the budget and ladder checks
-        ("--scales", "0,1,2"),
-    ])
-    def test_bad_count_is_config_error(self, capsys, monkeypatch, flags):
-        forbid_bench_work(monkeypatch)
-        code, out, err = run_cli(capsys, "bench", *flags)
-        assert code == 2
-        assert out == ""
-        assert "must be >= 1" in err
-
-    def test_pattern_is_not_a_bench_flag(self, capsys, monkeypatch):
-        forbid_bench_work(monkeypatch)
-        with pytest.raises(SystemExit) as exc:
-            cli.main(["bench", "--pattern", "wiggle"])
-        assert exc.value.code == 2
-        assert "--pattern" in capsys.readouterr().err
-
-    def test_config_keys_bench_does_not_read_are_rejected(self, capsys, tmp_path, monkeypatch):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"n": 2, "f": 4, "d": 16, "seed": 1}))
-        code, out, _ = run_cli(capsys, "bench", "--config", str(cfg), "--repeats", "1")
-        assert code == 0
-        assert [row["length"] for row in json.loads(out)["cache"]] == [8, 16, 32]
-        forbid_bench_work(monkeypatch)
-        cfg.write_text(json.dumps({"layers": 2, "mode": "bogus"}))
-        code, out, err = run_cli(capsys, "bench", "--config", str(cfg))
-        assert code == 2
-        assert out == ""
-        assert "layers, mode" in err
-
-    def test_short_ladder_rejected(self, capsys):
-        code, _, _ = run_cli(capsys, "bench", "--scales", "1,2")
-        assert code == 2
-
-    @pytest.mark.parametrize("args, kwargs, match", [
-        ((2, 4, 16), {"scales": (1, 2)}, "ladder of >= 3"),
-        ((0, 4, 16), {}, "must be >= 1"),
-        ((2, 0, 16), {}, "must be >= 1"),
-        ((2, 4, 0), {}, "must be >= 1"),
-        ((-2, -2, 16), {}, "must be >= 1"),
-        ((2, 4, 16), {"repeats": 0}, "must be >= 1"),
-        ((2, 4, 16), {"scales": (1, 0, 2)}, "must be >= 1"),
-        ((10_000_000, 10_000_000, 64), {}, "element budget"),
-        ((64, 64, 16), {}, "max_positions"),  # 16,384 positions, far under the budget
-        ((2, 4, 16), {"seed": -1}, "seed must be >= 0"),
-    ], ids=["short-ladder", "n", "f", "d", "negative-n-f", "repeats", "scale",
-            "element-budget", "max-positions", "seed"])
-    def test_run_bench_checks_every_input_before_any_work(
-        self, monkeypatch, args, kwargs, match
-    ):
-        forbid_bench_work(monkeypatch)
-        with pytest.raises(ConfigError, match=match):
-            cli.bench_mod.run_bench(*args, **kwargs)
-
-    def test_scoring_needs_a_repeat_and_the_ladder_two_lengths(self):
-        with pytest.raises(ValueError, match="repeats must be >= 1"):
-            cli.bench_mod.scoring_cost_scaling([(2, 4, 16)], repeats=0)
-        with pytest.raises(ConfigError, match="need >= 2 positive lengths"):
-            cli.bench_mod.cache_bytes_table([8])
-
-    def test_cache_ladder_over_max_positions_rejected(self, monkeypatch):
-        def built(config):
-            raise AssertionError("decoder built")
-
-        monkeypatch.setattr(cli.bench_mod, "Decoder", built)
-        with pytest.raises(ConfigError, match="max_positions"):
-            cli.bench_mod.cache_bytes_table([8, DecoderConfig().max_positions + 1])
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
-def subparser(command):
+def subparsers():
+    """The parser's subcommands, name -> parser."""
     sub = next(a for a in cli.build_parser()._actions
                if isinstance(a, argparse._SubParsersAction))
-    return sub.choices[command]
+    return sub.choices
 
 
 class TestSettingsTable:
-    @pytest.mark.parametrize("command", ["run", "gen", "bench"])
+    @pytest.mark.parametrize("command", ["run", "gen"])
     def test_parser_flags_are_the_settings_the_command_reads(self, command):
-        own = {"help", "out_path", "config", "in_path", "scales", "repeats"}
-        settings = {a.dest for a in subparser(command)._actions} - own
+        own = {"help", "out_path", "config", "in_path"}
+        settings = {a.dest for a in subparsers()[command]._actions} - own
         assert settings == cli._FLAGS.keys() & cli._READS[command]
 
     @pytest.mark.parametrize("command, key", [
         (command, field.name) for command, reads in cli._READS.items()
         for field in dataclasses.fields(cli.HarnessConfig) if field.name not in reads
     ])
-    def test_config_key_the_command_does_not_read_exits_2(
-        self, capsys, tmp_path, monkeypatch, command, key
-    ):
+    def test_config_key_the_command_does_not_read_exits_2(self, capsys, tmp_path, command, key):
         video, cfg, out = tmp_path / "v.svt", tmp_path / "cfg.json", tmp_path / "out"
         assert run_cli(capsys, "gen", "--out", str(video), "--n", "2", "--f", "4")[0] == 0
-        forbid_bench_work(monkeypatch)
         cfg.write_text(json.dumps({key: getattr(cli.HarnessConfig(), key)}))
-        argv = {"run --in": ("run", "--in", str(video)), "gen": ("gen",), "bench": ("bench",)}
+        argv = {"run --in": ("run", "--in", str(video)), "gen": ("gen",)}
         code, stdout, err = run_cli(capsys, *argv[command], "--config", str(cfg), "--out", str(out))
         assert code == 2
         assert f"config keys {command} does not read: {key}" in err
@@ -555,12 +443,15 @@ class TestSettingsTable:
         assert out == ""
         assert "element budget" in err
 
-    @pytest.mark.parametrize("command", ["run", "gen", "bench"])
+    def test_readme_sections_are_the_parser_subcommands(self):
+        headings = re.findall(r"^### `sharpv (\S+)`", README.read_text(), flags=re.M)
+        assert sorted(headings) == sorted(subparsers())
+
+    @pytest.mark.parametrize("command", sorted(subparsers()))
     def test_readme_flags_line_lists_the_parser_options(self, command):
-        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-        section = readme.split(f"### `sharpv {command}`")[1].split("\n### ")[0]
+        section = README.read_text().split(f"### `sharpv {command}`")[1].split("\n### ")[0]
         listed = section.split("Flags: `")[1].split("`")[0]
-        options = {s for a in subparser(command)._actions for s in a.option_strings}
+        options = {s for a in subparsers()[command]._actions for s in a.option_strings}
         assert set(re.findall(r"--[a-z-]+", listed)) == options - {"-h", "--help"}
 
 

@@ -1,3 +1,7 @@
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 
 import sharpv
@@ -18,6 +22,17 @@ def test_star_import_succeeds():
     namespace = {}
     exec("from sharpv import *", namespace)
     assert set(sharpv.__all__) <= set(namespace)
+
+
+def test_import_leaves_the_scaling_measurements_unloaded():
+    # sharpv.bench serves only the acceptance gate's scaling check; the
+    # package import must not pay for it (or for statistics, which it uses)
+    src = str(Path(sharpv.__file__).resolve().parents[1])
+    code = (f"import sys; sys.path.insert(0, {src!r}); import sharpv; "
+            "print(sorted({'sharpv.bench', 'statistics'} & set(sys.modules)))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, timeout=120).stdout
+    assert out.strip() == "[]"
 
 
 def test_traced_pipeline_names_are_callables():

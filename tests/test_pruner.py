@@ -254,6 +254,21 @@ class TestPruneVideo:
             assert list(pruned.keep_counts) == counts
             assert list(pruned.kept) == ref.flat_rows(kept, v.f)
 
+    @pytest.mark.parametrize("f", [5, 7, 9, 15])
+    def test_zero_frame_keeps_half_rounded_up(self, f):
+        # a zero frame after a random one scores 1 per token, so its
+        # threshold is 0.5 up to rounding and it keeps (f+1)/2 tokens; the
+        # tied zero tokens still rank by rounding, so compare kept values
+        for seed in range(300):
+            rng = np.random.default_rng(seed)
+            v = VideoTokens(2, f, 16, np.vstack([rng.standard_normal((f, 16)),
+                                                 np.zeros((f, 16))]))
+            pruned = prune_video(v, PrunerConfig())
+            _, counts, kept = ref.prune(to_frames(v), 1.0, "adaptive")
+            assert counts[1] == (f + 1) // 2
+            assert list(pruned.keep_counts) == counts
+            assert np.array_equal(pruned.tokens, v.data[ref.flat_rows(kept, f)])
+
     def test_manual_matches_reference(self):
         for v, w in reference_cases(88):
             config = PrunerConfig(spatial_weight=w, mode=MODE_MANUAL, manual_threshold=1.6)

@@ -124,7 +124,7 @@ def resolve_config(args: argparse.Namespace, command: str) -> HarnessConfig:
         with open(args.config, "rb") as fh:
             try:
                 raw = json.load(fh)
-            except json.JSONDecodeError as exc:
+            except (json.JSONDecodeError, UnicodeDecodeError) as exc:
                 raise ConfigError(f"config file {args.config} is not valid JSON: {exc}") from exc
         if not isinstance(raw, dict):
             raise ConfigError(f"config file {args.config} must hold a JSON object")

@@ -166,9 +166,11 @@ def prune_video(video: VideoTokens, config: PrunerConfig) -> PrunedVideo:
 
     Adaptive: frame t keeps its round(threshold_t * f) highest combined
     scores, a half rounded up and clamped to [1, f]; a stable sort ranks
-    tied tokens by index, so the lower index wins a tie at the cut. Manual: a token is kept iff
-    its combined score is >= K, and a frame with none keeps its first
-    argmax.
+    tied tokens by index, so the lower index wins a tie at the cut when
+    the scores are equal as floats. Scores equal in real arithmetic (say,
+    identical tokens) can differ by an ulp, and then rank by rounding.
+    Manual: a token is kept iff its combined score is >= K, and a frame
+    with none keeps its first argmax.
     """
     spatial, temporal = importance_maps(video)
     combined = temporal + config.spatial_weight * spatial

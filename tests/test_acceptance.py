@@ -1,21 +1,20 @@
-"""Acceptance gate: one test per shipped claim, each printing a verdict line,
-plus the input checks of the scaling measurements criterion 9 uses.
+"""Acceptance gate: one test per shipped claim, each printing a verdict line.
 
 Run with `pytest tests/test_acceptance.py -v -s` to see every verdict.
 Tolerances are pinned in the assertions; a failure here means a shipped
-behavior regressed, not that a unit drifted.
+behavior regressed, not that a unit drifted. Every criterion calls the
+library directly: criterion 9 times `prune_video` and measures real
+prefill caches itself, so no package module serves the gate alone.
 """
 
 import math
+import statistics
 import time
 
 import numpy as np
-import pytest
 
-from sharpv.bench import cache_bytes_linear, cache_bytes_table, scoring_cost_scaling
 from sharpv.cache import KVCacheLayer, SegmentedSequence
 from sharpv.decoder import Decoder, DecoderConfig
-from sharpv.errors import ConfigError
 from sharpv.memory import apply_discard, reencode_positions
 from sharpv.pipeline import (
     PipelineConfig, PromptEmbeddings, baseline_generate, prefill_with_eviction, run_pipeline,
@@ -252,6 +251,33 @@ def test_c08_token_budget():
     _verdict(8, "token budget == vr*mr in every run", exact)
 
 
+def _median_scoring_seconds(sizes, repeats, seed):
+    """Median wall time of `prune_video` per (n, f, d) size.
+
+    Input generation is outside the timed region. After one warm-up call
+    per size (allocator and BLAS paths), sizes take turns in blocks of ten
+    calls: consecutive same-size calls keep allocator and cache state warm
+    (the regime the linearity claim is about), while rotating the blocks
+    spreads a transient machine slowdown over every size instead of
+    poisoning whichever one it lands on. One call runs at a time.
+    """
+    config = PrunerConfig()
+    videos = [
+        VideoTokens(n, f, d, np.random.default_rng([seed, i]).standard_normal((n * f, d)))
+        for i, (n, f, d) in enumerate(sizes)
+    ]
+    for video in videos:
+        prune_video(video, config)
+    samples = [[] for _ in sizes]
+    for done in range(0, repeats, 10):
+        for video, times in zip(videos, samples):
+            for _ in range(min(10, repeats - done)):
+                t0 = time.perf_counter()
+                prune_video(video, config)
+                times.append(time.perf_counter() - t0)
+    return [statistics.median(times) for times in samples]
+
+
 def test_c09_complexity_scaling():
     start = time.perf_counter()
     # sizes chosen so every working set stays inside the L2 cache: once a
@@ -259,36 +285,28 @@ def test_c09_complexity_scaling():
     # hierarchy, not the algorithm
     base = (8, 16, 64)
     sizes = [base, (8, 32, 64), (8, 16, 128)]  # 2x tokens, then 2x dim
-    rows = scoring_cost_scaling(sizes, repeats=100, seed=109)
-    t0 = rows[0]["median_seconds"]
-    ratio_tokens = rows[1]["median_seconds"] / t0
-    ratio_dim = rows[2]["median_seconds"] / t0
+    t0, t_tokens, t_dim = _median_scoring_seconds(sizes, repeats=100, seed=109)
+    ratio_tokens, ratio_dim = t_tokens / t0, t_dim / t0
 
-    cache_rows = cache_bytes_table([64, 128, 256, 512])
-    linear = cache_bytes_linear(cache_rows)
+    # real prefills, every row visual: a float64 key and value of model_dim
+    # per entry in every layer, so the cache bytes are exactly linear
+    config = DecoderConfig()
+    decoder = Decoder(config)
+    rng = np.random.default_rng(0)
+    wrong = []
+    for length in (64, 128, 256, 512):
+        embedded = rng.standard_normal((length, config.model_dim))
+        spans = SegmentedSequence(system_len=0, visual_len=length, instruction_len=0)
+        nbytes = sum(layer.nbytes() for layer in decoder.prefill(embedded, spans).cache)
+        if nbytes != length * config.layers * 2 * config.model_dim * 8:
+            wrong.append((length, nbytes))
     elapsed = time.perf_counter() - start
     _verdict(
-        9, "scoring time scales (<=2.5x per doubling), cache bytes linear",
-        ratio_tokens <= 2.5 and ratio_dim <= 2.5 and linear and elapsed < 60.0,
+        9, "scoring time scales (<=2.5x per doubling), cache bytes exact",
+        ratio_tokens <= 2.5 and ratio_dim <= 2.5 and not wrong and elapsed < 60.0,
         f"2x tokens -> {ratio_tokens:.2f}x, 2x dim -> {ratio_dim:.2f}x, "
-        f"linear {linear}, {elapsed:.1f}s",
+        f"wrong cache bytes {wrong}, {elapsed:.1f}s",
     )
-
-
-def test_scoring_needs_a_repeat_and_the_ladder_two_lengths():
-    with pytest.raises(ValueError, match="repeats must be >= 1"):
-        scoring_cost_scaling([(2, 4, 16)], repeats=0)
-    with pytest.raises(ConfigError, match="need >= 2 positive lengths"):
-        cache_bytes_table([8])
-
-
-def test_cache_ladder_over_max_positions_rejected(monkeypatch):
-    def built(config):
-        raise AssertionError("decoder built")
-
-    monkeypatch.setattr("sharpv.bench.Decoder", built)
-    with pytest.raises(ConfigError, match="max_positions"):
-        cache_bytes_table([8, DecoderConfig().max_positions + 1])
 
 
 def test_c10_api_surface_audit():

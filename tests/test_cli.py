@@ -276,6 +276,19 @@ class TestConfigFile:
         code, _, _ = run_cli(capsys, "run", "--config", str(cfg))
         assert code == 2
 
+    @pytest.mark.parametrize("content", [b"\xff\xff\xff{", b"{not json"],
+                             ids=["undecodable", "malformed"])
+    @pytest.mark.parametrize("command", ["run", "gen"])
+    def test_config_file_that_is_not_json_is_config_error(self, capsys, tmp_path, command, content):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_bytes(content)
+        argv = [command, "--config", str(cfg)]
+        if command == "gen":
+            argv += ["--out", str(tmp_path / "v.svt")]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        assert f"config error: config file {cfg} is not valid JSON" in err
+
     def test_wrong_type_rejected(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"f": "eight"}))

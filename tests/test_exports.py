@@ -1,3 +1,4 @@
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -25,14 +26,22 @@ def test_star_import_succeeds():
 
 
 def test_import_leaves_the_scaling_measurements_unloaded():
-    # sharpv.bench serves only the acceptance gate's scaling check; the
-    # package import must not pay for it (or for statistics, which it uses)
+    # only the acceptance gate's scaling check takes medians; the package
+    # import must not pay for statistics
     src = str(Path(sharpv.__file__).resolve().parents[1])
     code = (f"import sys; sys.path.insert(0, {src!r}); import sharpv; "
-            "print(sorted({'sharpv.bench', 'statistics'} & set(sys.modules)))")
+            "print(sorted({'statistics'} & set(sys.modules)))")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, timeout=120).stdout
     assert out.strip() == "[]"
+
+
+def test_readme_layout_names_every_module():
+    root = Path(__file__).resolve().parents[1]
+    layout = (root / "README.md").read_text().split("## Layout")[1].split("src/sharpv/\n")[1]
+    listed = re.findall(r"^  (\w+\.py) ", layout.split("\n```")[0], flags=re.M)
+    modules = sorted(p.name for p in (root / "src" / "sharpv").glob("*.py") if p.name != "__init__.py")
+    assert sorted(listed) == modules
 
 
 def test_traced_pipeline_names_are_callables():

@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sharpv.bench import scoring_cost_scaling
 from sharpv.errors import ConfigError
 from sharpv.pruner import (
     MODE_MANUAL,
@@ -362,10 +361,3 @@ class TestProperties:
         assert (spatial >= 0).all() and (spatial <= 2).all()
         assert (temporal >= 0).all() and (temporal <= 2).all()
 
-
-class TestScoringCost:
-    def test_reports_median_per_size(self):
-        rows = scoring_cost_scaling([(2, 4, 8), (2, 8, 8)], repeats=3, seed=0)
-        assert [r["tokens"] for r in rows] == [8, 16]
-        assert all(r["median_seconds"] > 0 for r in rows)
-        assert all(r["repeats"] == 3 for r in rows)

@@ -11,19 +11,19 @@ instead of copying the cache. The key buffer is head-major, (heads,
 head_dim, capacity), so the keys attention reads, (heads, head_dim, n),
 are a prefix of contiguous rows; ``keys`` is a (n, heads, head_dim)
 view of it. Value, position and tag buffers are entry-major. This module
-alone allocates them. A layer either owns all four buffers or none:
+alone allocates them, in one function (``_empty``), and views them by
+one rule (``_views``). A layer either owns all four buffers or none:
 ``KVCacheLayer.projected`` builds a prefill layer in four buffers,
 projecting its keys and values straight into them, so spare rows take
 decode appends without a copy.
 
-``KVCacheLayer.reserve(rows)`` makes room for ``rows`` more entries: a
-layer that owns its four buffers with that many spare rows is left
-alone, and any other is copied once into buffers of exactly its length
-plus ``rows``. The pipeline reserves every layer's decode entries before
-the first decode step, so a layer is copied at most once and ends decode
-with no spare row. ``append`` falls back to the same copy, at twice the
-layer's length, when it is handed a full layer or one that owns no
-buffers.
+A layer grows one way: ``KVCacheLayer.reserve(rows)`` leaves a layer
+that owns its four buffers with ``rows`` spare rows alone, and copies
+any other once into buffers of exactly its length plus ``rows``. An
+``append`` to a full layer, or to one that owns no buffers, reserves
+its length (at least one row), doubling it. The pipeline reserves every
+layer's decode entries before the first decode step, so a layer is
+copied at most once and ends decode with no spare row.
 
 A prefill layer of n entries asked for ``spare_rows`` has room for
 ``min(spare_rows, n)`` entries beyond them: a layer the stage-2 hook
@@ -100,8 +100,7 @@ class KVCacheLayer:
     values: np.ndarray
     position_ids: np.ndarray  # (seq,) int64
     segment_tags: np.ndarray  # (seq,) uint8
-    # Buffers behind the four arrays, keys head-major: (H, head_dim, cap)
-    # keys, then (cap, H, head_dim) values, (cap,) ids and (cap,) tags.
+    # Buffers behind the four arrays, as ``_empty`` allocates them.
     _buffers: tuple | None = field(default=None, init=False, repr=False)
 
     @classmethod
@@ -117,17 +116,15 @@ class KVCacheLayer:
         transposed copy.
         """
         n, d = states.shape
-        capacity = n + min(spare_rows, n)
-        key_buf = np.empty((heads, d // heads, capacity), dtype=states.dtype)
+        bufs = _empty(n + min(spare_rows, n), heads, d // heads, states.dtype)
+        key_buf, value_buf, position_buf, tag_buf = bufs
         # head h's (head_dim, d) operand is the transpose of its wk columns
         np.matmul(wk.reshape(d, heads, -1).transpose(1, 2, 0), states.T, out=key_buf[:, :, :n])
-        value_buf = np.empty((capacity, heads, d // heads), dtype=states.dtype)
         np.matmul(states, wv, out=value_buf[:n].reshape(n, d))
-        position_buf = np.arange(capacity, dtype=np.int64)
-        tag_buf = _grown_rows(segment_tags, capacity)
-        layer = cls(key_buf[:, :, :n].transpose(2, 0, 1), value_buf[:n],
-                    position_buf[:n], tag_buf[:n])
-        layer._buffers = (key_buf, value_buf, position_buf, tag_buf)
+        position_buf[:n] = np.arange(n)
+        tag_buf[:n] = segment_tags
+        layer = cls(*_views(bufs, n))
+        layer._buffers = bufs
         return layer
 
     def __len__(self) -> int:
@@ -143,7 +140,8 @@ class KVCacheLayer:
             raise ValueError(f"rows must be >= 0, got {rows}")
         n = len(self)
         if not self._has_room(n, rows):
-            self._regrow(n, n + rows)
+            self._buffers = _grown(self, n + rows)
+            self.keys, self.values, self.position_ids, self.segment_tags = _views(self._buffers, n)
 
     def append(self, key: np.ndarray, value: np.ndarray, tag: Segment, position: int) -> None:
         """Add one entry, in amortised O(1) copies.
@@ -153,18 +151,18 @@ class KVCacheLayer:
         handed out and leaves those views unchanged. A layer that does not
         own its arrays (built directly, or by ``apply_discard`` or
         ``reencode_positions``, whose arrays may share memory with another
-        layer) copies them into new buffers of twice its length first, as
-        does a full one; ``reserve`` first avoids both.
+        layer) reserves its length first, doubling it, as does a full one;
+        reserving the rows up front avoids both copies.
         """
         n = len(self)
         if not self._has_room(n, 1):
-            self._regrow(n, max(2 * n, 1))
+            self.reserve(max(n, 1))
         key_buf, value_buf, position_buf, tag_buf = self._buffers
         key_buf[:, :, n] = key
         value_buf[n] = value
         position_buf[n] = position
         tag_buf[n] = tag
-        self._view(n + 1)
+        self.keys, self.values, self.position_ids, self.segment_tags = _views(self._buffers, n + 1)
 
     def _has_room(self, n: int, rows: int) -> bool:
         """Whether this layer of ``n`` entries owns all four buffers, with
@@ -177,19 +175,6 @@ class KVCacheLayer:
                 and self.position_ids.base is bufs[2]
                 and self.segment_tags.base is bufs[3])
 
-    def _regrow(self, n: int, capacity: int) -> None:
-        """Copy the layer's ``n`` entries into new buffers of ``capacity``
-        entries, and view them."""
-        self._buffers = _grown(self, capacity)
-        self._view(n)
-
-    def _view(self, n: int) -> None:
-        """Point the four arrays at the first ``n`` entries of the buffers."""
-        key_buf, value_buf, position_buf, tag_buf = self._buffers
-        self.keys = key_buf[:, :, :n].transpose(2, 0, 1)
-        self.values = value_buf[:n]
-        self.position_ids, self.segment_tags = position_buf[:n], tag_buf[:n]
-
     def nbytes(self) -> int:
         """Key/value payload bytes (bookkeeping arrays excluded)."""
         return self.keys.nbytes + self.values.nbytes
@@ -201,19 +186,27 @@ class KVCacheLayer:
         return {SEGMENT_NAMES[seg]: int(counts[seg]) for seg in Segment}
 
 
+def _empty(capacity: int, heads: int, head_dim: int, dtype) -> tuple:
+    """A layer's four buffers, of ``capacity`` entries: (H, head_dim, cap)
+    keys and (cap, H, head_dim) values of ``dtype``, (cap,) int64 position
+    ids and (cap,) uint8 tags."""
+    return (np.empty((heads, head_dim, capacity), dtype=dtype),
+            np.empty((capacity, heads, head_dim), dtype=dtype),
+            np.empty(capacity, dtype=np.int64), np.empty(capacity, dtype=np.uint8))
+
+
+def _views(bufs: tuple, n: int) -> tuple:
+    """The layer's keys, values, position ids and tags: its first ``n``
+    entries in the buffers ``bufs``, keys as a (n, H, head_dim) view."""
+    key_buf, value_buf, position_buf, tag_buf = bufs
+    return key_buf[:, :, :n].transpose(2, 0, 1), value_buf[:n], position_buf[:n], tag_buf[:n]
+
+
 def _grown(layer: KVCacheLayer, capacity: int) -> tuple:
-    """New buffers of ``capacity`` entries holding a copy of the layer,
-    keys head-major."""
-    keys = layer.keys
-    n, heads, head_dim = keys.shape
-    key_buf = np.empty((heads, head_dim, capacity), dtype=keys.dtype)
-    key_buf[:, :, :n] = keys.transpose(1, 2, 0)
-    return (key_buf, _grown_rows(layer.values, capacity),
-            _grown_rows(layer.position_ids, capacity), _grown_rows(layer.segment_tags, capacity))
-
-
-def _grown_rows(arr: np.ndarray, capacity: int) -> np.ndarray:
-    """A new buffer of ``capacity`` rows starting with a copy of arr."""
-    buf = np.empty((capacity,) + arr.shape[1:], dtype=arr.dtype)
-    buf[:len(arr)] = arr
-    return buf
+    """New buffers of ``capacity`` entries holding a copy of the layer."""
+    n, heads, head_dim = layer.keys.shape
+    bufs = _empty(capacity, heads, head_dim, layer.keys.dtype)
+    arrays = (layer.keys, layer.values, layer.position_ids, layer.segment_tags)
+    for view, arr in zip(_views(bufs, n), arrays):
+        view[...] = arr
+    return bufs

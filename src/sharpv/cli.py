@@ -124,7 +124,9 @@ def resolve_config(args: argparse.Namespace, command: str) -> HarnessConfig:
         with open(args.config, "rb") as fh:
             try:
                 raw = json.load(fh)
-            except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            # ValueError covers JSONDecodeError, UnicodeDecodeError and an
+            # integer too long to parse; RecursionError, nesting too deep
+            except (ValueError, RecursionError) as exc:
                 raise ConfigError(f"config file {args.config} is not valid JSON: {exc}") from exc
         if not isinstance(raw, dict):
             raise ConfigError(f"config file {args.config} must hold a JSON object")
@@ -135,7 +137,10 @@ def resolve_config(args: argparse.Namespace, command: str) -> HarnessConfig:
             want = _TYPES[name]
             if type(value) not in ((int, float) if want is float else (want,)):  # no bool
                 raise ConfigError(f"config key {name} must be {_KINDS[want]}, got {value!r}")
-            merged[name] = want(value)
+            try:
+                merged[name] = want(value)
+            except OverflowError as exc:  # float() of a huge int; its digits stay out
+                raise ConfigError(f"config key {name} is too large for a float") from exc
     flags = {name: getattr(args, name) for name in _FLAGS if getattr(args, name, None) is not None}
     unread = sorted(set(flags) - _READS[command])
     if unread:
@@ -186,10 +191,9 @@ def cmd_run(args: argparse.Namespace) -> int:
     )
     echo = {k: v for k, v in asdict(cfg).items() if k in _READS[command] | {"n", "f", "d"}}
     _, report = run_pipeline(
-        Decoder(decoder_cfg), video, PromptEmbeddings(system, instruction), pipe_cfg,
-        config_echo=echo,
+        Decoder(decoder_cfg), video, PromptEmbeddings(system, instruction), pipe_cfg
     )
-    _emit(report.to_json(), args.out_path)
+    _emit(replace(report, config=echo).to_json(), args.out_path)
     return EXIT_OK
 
 

@@ -56,8 +56,11 @@ def degradation_profile(states: np.ndarray, original: np.ndarray) -> float:
 def discard_decision(sim: float, threshold: float) -> bool:
     """True iff a layer scoring ``sim`` is discarded: its score is strictly
     below the threshold clamped to [-1, 1]. -1 never discards; 1 discards
-    every layer that scores below 1."""
-    return sim < min(max(float(threshold), -1.0), 1.0)
+    every layer that scores below 1. A NaN threshold raises ValueError."""
+    threshold = float(threshold)
+    if np.isnan(threshold):
+        raise ValueError("degradation threshold must not be NaN")
+    return sim < min(max(threshold, -1.0), 1.0)
 
 
 def apply_discard(layer: KVCacheLayer) -> KVCacheLayer:

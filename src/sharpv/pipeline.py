@@ -77,9 +77,9 @@ def run_pipeline(
     video: VideoTokens,
     prompt: PromptEmbeddings,
     config: PipelineConfig,
-    config_echo: dict | None = None,
 ) -> tuple[list, RunReport]:
-    """Returns (generated token ids, validated RunReport)."""
+    """Returns (generated token ids, validated RunReport); the report's
+    config echoes the five pipeline settings."""
     _check_widths(decoder, video, prompt)
     t_start = time.perf_counter()
 
@@ -130,7 +130,7 @@ def run_pipeline(
         cache_bytes_after=bytes_after,
         cache_layers_before=layers_before,
         cache_layers_after=layers_after,
-        config=config_echo if config_echo is not None else _default_echo(config),
+        config=_default_echo(config),
     )
     validate_report(report)
     return generated, report

@@ -7,7 +7,9 @@ from sharpv import cache as cache_module
 from sharpv.cache import KVCacheLayer, Segment, SegmentedSequence
 from sharpv.decoder import Decoder, DecoderConfig
 from prefill_trace import traced_prefill
-from sharpv.memory import apply_discard, degradation_profile, reencode_positions
+from sharpv.memory import (
+    apply_discard, degradation_profile, discard_decision, reencode_positions,
+)
 from sharpv.pipeline import prefill_with_eviction
 
 
@@ -245,6 +247,37 @@ class TestKVCacheLayer:
         assert np.array_equal(layer.keys, rows[:, 0])
         assert list(layer.segment_tags) == [Segment.GENERATED]
 
+    def test_one_allocator_sets_every_buffer_layout(self):
+        # a layer built directly, with int32 ids, gets the buffers a
+        # prefill layer has: head-major keys, int64 ids, uint8 tags
+        rng = np.random.default_rng(12)
+        layer = KVCacheLayer(keys=rng.standard_normal((5, 2, 4)).astype(np.float32),
+                             values=rng.standard_normal((5, 2, 4)).astype(np.float32),
+                             position_ids=np.arange(5, dtype=np.int32),
+                             segment_tags=spans_for(5, visual=(1, 3)).tags())
+        held = layer.keys.copy(), layer.values.copy()
+        layer.reserve(2)
+        bufs = self.buffers(layer)
+        assert [b.shape for b in bufs] == [(2, 4, 7), (7, 2, 4), (7,), (7,)]
+        assert [b.dtype for b in bufs] == [np.float32, np.float32, np.int64, np.uint8]
+        assert all(b.flags.c_contiguous for b in bufs)
+        assert np.array_equal(layer.keys, held[0]) and np.array_equal(layer.values, held[1])
+        assert np.array_equal(layer.position_ids, np.arange(5))
+        # a projected layer and its reserve copy share dtypes and layout
+        states = rng.standard_normal((6, 8)).astype(np.float32)
+        w = rng.standard_normal((8, 16)).astype(np.float32)
+        layer = KVCacheLayer.projected(states, w[:, :8], w[:, 8:], 2,
+                                       spans_for(6, visual=(1, 4)).tags(), spare_rows=1)
+        before = self.buffers(layer)
+        layer.reserve(3)
+        after = self.buffers(layer)
+        assert not any(a is b for a, b in zip(before, after))
+        assert [b.shape for b in before] == [(2, 4, 7), (7, 2, 4), (7,), (7,)]
+        assert [b.shape for b in after] == [(2, 4, 9), (9, 2, 4), (9,), (9,)]
+        for a, b in zip(before, after):
+            assert a.dtype == b.dtype and a.flags.c_contiguous and b.flags.c_contiguous
+        assert [b.dtype for b in after] == [np.float32, np.float32, np.int64, np.uint8]
+
     def test_reserve_rejects_negative_rows(self):
         with pytest.raises(ValueError, match="rows must be >= 0, got -1"):
             make_layer(4).reserve(-1)
@@ -389,6 +422,17 @@ class TestDiscardDecision:
             assert [len(layer) for layer in got.cache] == [len(layer) for layer in want.cache]
             assert 0 not in got_discarded
         assert got_discarded == []
+
+    def test_rule_clamps_is_strict_and_rejects_nan(self):
+        # clamped to 1: a score of 1 stays, anything below it goes
+        assert discard_decision(np.nextafter(1.0, 0.0), 5.0) and not discard_decision(1.0, 5.0)
+        assert not discard_decision(-1.0, -5.0)  # clamped to -1: no score is below it
+        assert not discard_decision(0.3, 0.3) and discard_decision(np.nextafter(0.3, 0.0), 0.3)
+        with pytest.raises(ValueError, match="must not be NaN"):
+            discard_decision(0.0, float("nan"))
+        # NaN compares false: unchecked, stage 2 would discard nothing
+        with pytest.raises(ValueError, match="must not be NaN"):
+            prefill_with_eviction(*stage2_prompt(), float("nan"))
 
     def test_monotone_in_threshold(self):
         decoder, embedded, spans = stage2_prompt()

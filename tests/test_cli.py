@@ -276,8 +276,9 @@ class TestConfigFile:
         code, _, _ = run_cli(capsys, "run", "--config", str(cfg))
         assert code == 2
 
-    @pytest.mark.parametrize("content", [b"\xff\xff\xff{", b"{not json"],
-                             ids=["undecodable", "malformed"])
+    @pytest.mark.parametrize("content", [
+        b"\xff\xff\xff{", b"{not json", b"[" * 100_000, b'{"n": ' + b"9" * 5000 + b"}",
+    ], ids=["undecodable", "malformed", "nested-too-deep", "int-too-long-to-parse"])
     @pytest.mark.parametrize("command", ["run", "gen"])
     def test_config_file_that_is_not_json_is_config_error(self, capsys, tmp_path, command, content):
         cfg = tmp_path / "cfg.json"
@@ -288,6 +289,13 @@ class TestConfigFile:
         code, out, err = run_cli(capsys, *argv)
         assert code == 2 and out == ""
         assert f"config error: config file {cfg} is not valid JSON" in err
+
+    def test_int_too_large_for_a_float_is_config_error(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"m": ' + "9" * 401 + "}")
+        code, out, err = run_cli(capsys, "run", "--config", str(cfg))
+        assert code == 2 and out == ""
+        assert err == "config error: config key m is too large for a float\n"
 
     def test_wrong_type_rejected(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"

@@ -12,8 +12,8 @@ request:
   memory traced when the request starts, so a phase's peak includes what
   earlier phases left alive;
 - the KV cache's regrowth copies and the bytes they copy, counted around
-  ``sharpv.cache._grown`` wherever it is called from (``append``'s
-  fallback or ``reserve``). perfbench's ``cache.append.bytes_copied``
+  ``sharpv.cache._grown``, which only ``reserve`` calls (``append``
+  reserves on a full layer). perfbench's ``cache.append.bytes_copied``
   sees only the copies made inside ``KVCacheLayer.append``;
 - each layer's final entries and capacity, in rows.
 
